@@ -15,6 +15,8 @@ word by resuffixing itself, which is what the stream implementation uses:
 Each step at least roughly doubles the known prefix, so reaching position N
 takes O(log N) steps; only a bounded head of the word is materialized and
 deeper letters are resolved by mapping intervals back through the recurrence.
+A prefix Parikh vector costs d adds per step plus one lookup in the head's
+Parikh checkpoints, which rescans at most one checkpoint stride of letters.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import DirectiveError
 from .streams import WordStream
-from .words import as_word
+from .words import PrefixBuffer, as_word
 
 DIRECTIVE_CHECK_HORIZON = 1000
 
@@ -137,9 +139,10 @@ class ArnouxRauzyStream(WordStream):
                 f"directive letters")
         self._dir_source = directive
         self._dir = directive.fork()
+        self._check_horizon = check_horizon
         self._cap = materialize_cap
         self._buf = bytearray()
-        self._buf_arr: np.ndarray | None = None
+        self._head = PrefixBuffer(b"", d)
         self._L: list[int] = [0]
         self._steps: list[tuple[bool, int, int]] = []   # (is_new, letter, j)
         self._P: list[tuple[int, ...]] = [(0,) * d]
@@ -171,7 +174,6 @@ class ArnouxRauzyStream(WordStream):
         self._present.add(letter)
         if appended is not None and self._L[-1] <= self._cap:
             self._buf.extend(appended)
-            self._buf_arr = None
 
     def _materialized(self, upto_step: int) -> bool:
         return len(self._buf) == self._L[upto_step]
@@ -183,10 +185,13 @@ class ArnouxRauzyStream(WordStream):
 
     # -- interval resolution --------------------------------------------
 
-    def _buf_view(self) -> np.ndarray:
-        if self._buf_arr is None or self._buf_arr.size != len(self._buf):
-            self._buf_arr = np.frombuffer(bytes(self._buf), dtype=np.uint8)
-        return self._buf_arr
+    def _materialized_head(self) -> PrefixBuffer:
+        """The materialized prefix with its Parikh checkpoints, rebuilt once
+        per growth of the buffer (growth is geometric and stops at the cap)."""
+        if len(self._head) != len(self._buf):
+            self._head = PrefixBuffer(
+                np.frombuffer(bytes(self._buf), dtype=np.uint8), self._d)
+        return self._head
 
     def _emit(self, i: int, lo: int, hi: int, sink: list) -> None:
         """Append the letters b_i[lo:hi] to sink as arrays."""
@@ -194,7 +199,7 @@ class ArnouxRauzyStream(WordStream):
             if hi <= lo:
                 return
             if self._L[i] <= len(self._buf):
-                sink.append(self._buf_view()[lo:hi])
+                sink.append(self._materialized_head().letters[lo:hi])
                 return
             is_new, letter, j = self._steps[i - 1]
             Lp = self._L[i - 1]
@@ -251,11 +256,11 @@ class ArnouxRauzyStream(WordStream):
                     counts[a] -= vj[a]
                 p = p - Lp + self._L[j]
             i -= 1
-        tail = np.bincount(self._buf_view()[:p], minlength=self._d)
-        return tuple(c + int(t) for c, t in zip(counts, tail))
+        tail = self._materialized_head().parikh_of_prefix(p)
+        return tuple(c + t for c, t in zip(counts, tail))
 
     def fork(self) -> "ArnouxRauzyStream":
-        return ArnouxRauzyStream(self._dir_source, materialize_cap=self._cap)
+        return ArnouxRauzyStream(self._dir_source, self._check_horizon, self._cap)
 
     def __repr__(self) -> str:
         return f"ArnouxRauzyStream({self._dir_source!r})"

@@ -10,6 +10,7 @@ once the scale dwarfs the coefficients.  All dot products are exact integers.
 """
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -149,17 +150,27 @@ def search_normals(tuples: np.ndarray, scale: int, bound: int = 10,
     pts = np.ascontiguousarray(pts.astype(np.int64, copy=False))
     cols = [pts[:, j].copy() for j in range(t)]
     normals = list(candidate_normals(t, bound))
+    per_thread = threading.local()
 
     def run(normal):
-        dots = cols[0] * normal[0]
+        # Two sample-sized buffers per thread, reused for every normal: fresh
+        # temporaries per normal make the allocator map and unmap them each
+        # time, and the page faults cost as much as the arithmetic.
+        if not hasattr(per_thread, "bufs"):
+            per_thread.bufs = (np.empty_like(cols[0]), np.empty_like(cols[0]))
+        dots, term = per_thread.bufs
+        np.multiply(cols[0], normal[0], out=dots)
         for j in range(1, t):
             if normal[j]:
-                dots = dots + cols[j] * normal[j]
+                np.multiply(cols[j], normal[j], out=term)
+                dots += term
         lo = sum(v for v in normal if v < 0) * (scale - 1)
         hi = sum(v for v in normal if v > 0) * (scale - 1)
         span_lo = lo // scale
         span = hi // scale - span_lo + 1
-        hits = np.bincount(dots // scale - span_lo, minlength=span)
+        dots //= scale
+        dots -= span_lo
+        hits = np.bincount(dots, minlength=span)
         count = int(np.count_nonzero(hits))
         return LatticeReport(
             t=t, normal=normal, plane_count=count,

@@ -12,10 +12,18 @@ cap, precompute the phi^k images once, and emit u as
 
 by depth-first expansion.  The walk keeps one stack frame per expansion level,
 so memory is O(log position) while letters leave in whole precomputed blocks.
-Random access descends the same tree greedily using exact image lengths from
-powers of the adjacency matrix, skipping whole subtrees.
+Random access and prefix Parikh vectors descend the same tree.  Per level they
+cost one bisect over a cumulative table of exact image lengths, which has at
+most block_cap entries, plus d^2 adds that turn the block's prefix letter
+counts into the Parikh vector of the skipped subtrees.  The tables are built
+lazily and shared by every stream of the same fixed point.
 """
 from __future__ import annotations
+
+import threading
+from bisect import bisect_right
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -110,6 +118,144 @@ def iterate_fixed_point(phi: Morphism, seed: int, min_len: int) -> bytes:
     return w
 
 
+def _choose_power(phi: Morphism, cap: int) -> tuple[int, list[bytes]]:
+    """Largest k with max_b |phi^k(b)| <= cap, and the images phi^k(b)."""
+    blocks = list(phi.images)
+    power = 1
+    while True:
+        nxt = [b"".join(blocks[c] for c in phi.images[a])
+               for a in range(phi.alphabet_size)]
+        if max(len(b) for b in nxt) > cap:
+            return power, blocks
+        blocks = nxt
+        power += 1
+
+
+def _add(counts: list[int], vec) -> None:
+    for i, x in enumerate(vec):
+        counts[i] += x
+
+
+def _add_image(counts: list[int], mult, pvecs) -> None:
+    """counts += sum_c mult[c] * pvecs[c]."""
+    for m, pv in zip(mult, pvecs):
+        if m:
+            for i, x in enumerate(pv):
+                counts[i] += m * x
+
+
+class _Expansion:
+    """Expansion tables of psi = phi^k for one (morphism, seed, block_cap).
+
+    Every stream of the same fixed point shares one instance (see
+    ``_expansion``).  Word ids 0..d-1 name the blocks psi(c) and id d names
+    the tail v of psi(seed) = seed.v.  Per word, ``counts`` holds the Parikh
+    vector of every prefix (level-independent); per (level, word), ``cum``
+    holds the cumulative lengths |psi^level(w[:i])| as exact Python ints.
+    Tables only grow: a level or table is built in full and then published
+    under the lock, so a reader on another thread sees it whole or not at all.
+    """
+
+    def __init__(self, phi: Morphism, seed: int, block_cap: int):
+        d = phi.alphabet_size
+        self.power, self.blocks = _choose_power(phi, block_cap)
+        self.views = [np.frombuffer(b, dtype=np.uint8) for b in self.blocks]
+        self.seed = seed
+        self.head = self.blocks[seed]          # psi(a) = a . v
+        self.words = self.blocks + [self.head[1:]]
+        self.counts = []
+        for w in self.words:
+            tab = np.zeros((len(w) + 1, d), dtype=np.int32)
+            np.cumsum(np.frombuffer(w, np.uint8)[:, None] == np.arange(d),
+                      axis=0, out=tab[1:])
+            tab.setflags(write=False)
+            self.counts.append(tab)
+        # levels[L] = (|psi^L(c)| per c, Parikh vector of psi^L(c) per c)
+        unit = tuple(tuple(int(i == c) for i in range(d)) for c in range(d))
+        block_pv = tuple(tuple(self.counts[c][-1].tolist()) for c in range(d))
+        self.levels = [((1,) * d, unit),
+                       (tuple(len(b) for b in self.blocks), block_pv)]
+        self._cum: dict[tuple[int, int], list[int]] = {}
+        self._lock = threading.Lock()
+
+    def level(self, level: int):
+        if level >= len(self.levels):
+            with self._lock:
+                while len(self.levels) <= level:
+                    lens, pvecs = self.levels[-1]
+                    d = len(lens)
+                    nl, npv = [], []
+                    for pv in self.levels[1][1]:        # letters of psi(b)
+                        vec = [0] * d
+                        _add_image(vec, pv, pvecs)
+                        nl.append(sum(m * n for m, n in zip(pv, lens)))
+                        npv.append(tuple(vec))
+                    self.levels.append((tuple(nl), tuple(npv)))
+        return self.levels[level]
+
+    def cum(self, level: int, wid: int) -> list[int]:
+        key = (level, wid)
+        tab = self._cum.get(key)
+        if tab is None:
+            lens = self.level(level)[0]
+            tab = [0, *accumulate(lens[c] for c in self.words[wid])]
+            with self._lock:
+                tab = self._cum.setdefault(key, tab)
+        return tab
+
+    def descend(self, pos: int, counts: list[int] | None = None):
+        """Locate position pos of u = psi(a) . psi(v) . psi^2(v) ...
+
+        Returns (frames, leaf, k): pos lies in the outer term psi^k(v)
+        (k = 0 for the head psi(a)), frames are the stack frames
+        [word, next idx, level] from that term down to level 1, and leaf is
+        the [block view, offset] cursor at pos.  When ``counts`` is given,
+        the Parikh vector of the first pos letters is added to it.  Each
+        level costs one bisect over at most block_cap table entries plus
+        d^2 adds.
+        """
+        if pos < len(self.head):
+            if counts is not None:
+                _add(counts, self.counts[self.seed][pos].tolist())
+            return [], [self.views[self.seed], pos], 0
+        rest = pos - len(self.head)
+        tail = len(self.blocks)
+        tail_counts = self.counts[tail][-1].tolist()
+        if counts is not None:
+            _add(counts, self.counts[self.seed][-1].tolist())
+        k = 1
+        while True:
+            tl = self.cum(k, tail)[-1]
+            if rest < tl:
+                break
+            rest -= tl
+            if counts is not None:
+                _add_image(counts, tail_counts, self.level(k)[1])
+            k += 1
+        frames = []
+        wid, level = tail, k
+        while True:
+            cum = self.cum(level, wid)
+            idx = bisect_right(cum, rest) - 1
+            rest -= cum[idx]
+            word = self.words[wid]
+            if counts is not None:
+                _add_image(counts, self.counts[wid][idx].tolist(),
+                           self.level(level)[1])
+            frames.append([word, idx + 1, level])
+            c = word[idx]
+            if level == 1:
+                if counts is not None:
+                    _add(counts, self.counts[c][rest].tolist())
+                return frames, [self.views[c], rest], k
+            wid, level = c, level - 1
+
+
+@lru_cache(maxsize=16)
+def _expansion(phi: Morphism, seed: int, block_cap: int) -> _Expansion:
+    return _Expansion(phi, seed, block_cap)
+
+
 class FixedPointStream(WordStream):
     """Streaming fixed point of a prolongable morphism.
 
@@ -134,34 +280,11 @@ class FixedPointStream(WordStream):
         self.morphism = morphism
         self.seed = seed
         self.block_cap = block_cap
-        self.power, self._blocks = self._choose_power(morphism, block_cap)
-        self._views = [np.frombuffer(b, dtype=np.uint8) for b in self._blocks]
-        self._counts = [
-            tuple(int(c) for c in np.bincount(np.frombuffer(b, np.uint8), minlength=self._d))
-            for b in self._blocks]
-        # lengths/Parikh vectors of psi^level(b), extended on demand; level 0 = b itself
-        self._lens: list[list[int]] = [[1] * self._d, [len(b) for b in self._blocks]]
-        self._pvecs: list[list[tuple[int, ...]]] = [
-            [tuple(int(i == b) for i in range(self._d)) for b in range(self._d)],
-            list(self._counts)]
-        head = self._blocks[seed]          # psi(a) = a . v
-        self._head = head
-        self._head_view = np.frombuffer(head, dtype=np.uint8)
-        self._tail = head[1:]
+        self._x = _expansion(morphism, seed, block_cap)
+        self.power = self._x.power
+        self._blocks, self._views = self._x.blocks, self._x.views
         self.max_stack_depth = 0
         self._rewind(0)
-
-    @staticmethod
-    def _choose_power(phi: Morphism, cap: int):
-        blocks = list(phi.images)
-        power = 1
-        while True:
-            nxt = [b"".join(blocks[c] for c in phi.images[a])
-                   for a in range(phi.alphabet_size)]
-            if max(len(b) for b in nxt) > cap:
-                return power, blocks
-            blocks = nxt
-            power += 1
 
     # -- expansion-tree bookkeeping -------------------------------------
     #
@@ -170,62 +293,8 @@ class FixedPointStream(WordStream):
     # applications of psi.  Frames with level 1 hand their letters' blocks
     # straight to the leaf cursor.
 
-    def _ensure_level(self, level: int) -> None:
-        while len(self._lens) <= level:
-            prev_l = self._lens[-1]
-            prev_p = self._pvecs[-1]
-            lens = []
-            pvecs = []
-            for b in range(self._d):
-                total = 0
-                vec = [0] * self._d
-                for c, mult in enumerate(self._counts[b]):
-                    if mult:
-                        total += mult * prev_l[c]
-                        pc = prev_p[c]
-                        for i in range(self._d):
-                            vec[i] += mult * pc[i]
-                lens.append(total)
-                pvecs.append(tuple(vec))
-            self._lens.append(lens)
-            self._pvecs.append(pvecs)
-
-    def _term_len(self, k: int) -> int:
-        """|psi^k(v)| where psi(a) = a.v."""
-        self._ensure_level(k)
-        lens = self._lens[k]
-        return sum(lens[c] for c in self._tail)
-
     def _rewind(self, pos: int) -> None:
-        head = self._head
-        if pos < len(head):
-            self._leaf = [self._head_view, pos]
-            self._stack = []
-            self._next_k = 1
-            return
-        rest = pos - len(head)
-        k = 1
-        while True:
-            tl = self._term_len(k)
-            if rest < tl:
-                break
-            rest -= tl
-            k += 1
-        stack: list[list] = []
-        word, level = self._tail, k
-        while True:
-            lens = self._lens[level]
-            idx = 0
-            while rest >= lens[word[idx]]:
-                rest -= lens[word[idx]]
-                idx += 1
-            c = word[idx]
-            stack.append([word, idx + 1, level])
-            if level == 1:
-                self._leaf = [self._views[c], rest]
-                break
-            word, level = self._blocks[c], level - 1
-        self._stack = stack
+        self._stack, self._leaf, k = self._x.descend(pos)
         self._next_k = k + 1
 
     def _advance_leaf(self) -> None:
@@ -233,9 +302,8 @@ class FixedPointStream(WordStream):
         stack = self._stack
         while True:
             if not stack:
-                stack.append([self._tail, 0, self._next_k])
+                stack.append([self._x.words[-1], 0, self._next_k])
                 self._next_k += 1
-                self._ensure_level(self._next_k)
                 if len(stack) > self.max_stack_depth:
                     self.max_stack_depth = len(stack)
             frame = stack[-1]
@@ -286,46 +354,11 @@ class FixedPointStream(WordStream):
         self._pos += n
 
     def prefix_parikh(self, n: int) -> tuple[int, ...]:
-        """Exact letter counts of the first n letters, via adjacency powers."""
+        """Exact letter counts of the first n letters, from the descent tables."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        head = self._head
         counts = [0] * self._d
-        if n <= len(head):
-            for b in head[:n]:
-                counts[b] += 1
-            return tuple(counts)
-        for b in head:
-            counts[b] += 1
-        rest = n - len(head)
-        k = 1
-        while True:
-            tl = self._term_len(k)
-            if rest < tl:
-                break
-            pv = self._pvecs[k]
-            for c in self._tail:
-                vec = pv[c]
-                for i in range(self._d):
-                    counts[i] += vec[i]
-            rest -= tl
-            k += 1
-        word, level = self._tail, k
-        while rest > 0:
-            lens = self._lens[level]
-            pv = self._pvecs[level]
-            idx = 0
-            while rest >= lens[word[idx]]:
-                vec = pv[word[idx]]
-                for i in range(self._d):
-                    counts[i] += vec[i]
-                rest -= lens[word[idx]]
-                idx += 1
-            if level == 1:
-                for b in self._blocks[word[idx]][:rest]:
-                    counts[b] += 1
-                break
-            word, level = self._blocks[word[idx]], level - 1
+        self._x.descend(n, counts)
         return tuple(counts)
 
     def fork(self) -> "FixedPointStream":

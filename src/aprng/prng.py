@@ -39,8 +39,8 @@ class Lcg:
     """Z_{n+1} = (a*Z_n + c) mod m with 32-bit output Z >> shift."""
 
     def __init__(self, m: int, a: int, c: int, seed: int = 1):
-        if m < 2:
-            raise ParameterError("modulus must be >= 2")
+        if not 2 <= m <= 1 << 64:
+            raise ParameterError("modulus must lie in [2, 2^64]")
         if not 0 <= a < m or not 0 <= c < m:
             raise ParameterError("multiplier and increment must lie in [0, m)")
         if not 0 <= seed < m:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import InsufficientDataError, ParameterError
 
@@ -62,6 +61,8 @@ def _cell_widths(bins: int) -> np.ndarray:
 
 
 def _chi2_p(stat: float, df: int) -> float:
+    # imported here so that importing the package does not load scipy
+    from scipy.special import gammaincc
     return float(gammaincc(df / 2.0, stat / 2.0))
 
 

@@ -167,11 +167,8 @@ def factor_complexity(p, n: int) -> int:
 class PrefixBuffer:
     """Immutable materialized prefix of an infinite word.
 
-    Keeps a cumulative Parikh checkpoint every ``stride`` letters so single
-    Parikh-of-prefix queries cost one short rescan.  Bulk queries (the WELLDOC
-    scan asks for Parikh vectors at millions of occurrence indices) lazily
-    cache a dense per-letter cumulative table instead; per-index rescans are
-    not viable at that scale.
+    Keeps a cumulative Parikh checkpoint every ``stride`` letters so a
+    Parikh-of-prefix query costs one rescan of at most ``stride`` letters.
     """
 
     def __init__(self, letters, alphabet_size: int, source: str = "",
@@ -192,7 +189,6 @@ class PrefixBuffer:
         self.stride = stride
         self._checkpoints = self._build_checkpoints()
         self._bytes: bytes | None = None
-        self._cumsum: np.ndarray | None = None
 
     def _build_checkpoints(self) -> np.ndarray:
         n, s, d = self.letters.size, self.stride, self.alphabet_size
@@ -222,22 +218,6 @@ class PrefixBuffer:
         if tail.size:
             base += np.bincount(tail, minlength=self.alphabet_size)
         return tuple(int(c) for c in base)
-
-    def _dense_counts(self) -> np.ndarray:
-        if self._cumsum is None:
-            d, n = self.alphabet_size, len(self)
-            cum = np.zeros((d, n + 1), dtype=np.int64)
-            for a in range(d):
-                np.cumsum(self.letters == a, out=cum[a, 1:])
-            self._cumsum = cum
-        return self._cumsum
-
-    def parikh_at(self, indices: np.ndarray) -> np.ndarray:
-        """Parikh vectors of Pref_i for many i at once; shape (d, len(indices))."""
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() > len(self)):
-            raise InsufficientPrefixError("index outside materialized prefix")
-        return self._dense_counts()[:, idx]
 
     def __repr__(self) -> str:
         src = f" source={self.source!r}" if self.source else ""

@@ -108,3 +108,56 @@ def test_unbalanced_directive_still_works():
     # cross-check against the definitional construction
     oracle = iterated_palindromic_closure(bytes([0, 0, 0, 1] * 5))
     assert w[:min(2000, len(oracle))] == oracle[:2000]
+
+
+def test_fork_keeps_check_horizon():
+    # letter 2 first appears at index 1200, past the default horizon
+    directive = CycleStream(bytes([0, 1] * 600 + [2]))
+    with pytest.raises(DirectiveError):
+        ArnouxRauzyStream(directive)
+    s = ArnouxRauzyStream(directive, check_horizon=2000)
+    f = s.fork()
+    assert bytes(f.take(3000)) == bytes(s.take(3000))
+
+
+def bispecial_chain(pattern: bytes, min_len: int) -> BispecialChain:
+    chain = BispecialChain(max(pattern) + 1)
+    i = 0
+    while len(chain.words[-1]) < min_len:
+        next_bispecial(chain, pattern[i % len(pattern)])
+        i += 1
+    return chain
+
+
+@pytest.mark.parametrize("pattern", ["01", "012"])
+@pytest.mark.parametrize("cap", [5000, 1 << 22])
+def test_far_access_around_the_materialized_head(pattern, cap):
+    from aprng.rotation import fibonacci_rotation, rotation_letter
+    pattern = as_word(pattern)
+    chain = bispecial_chain(pattern, max(cap + 1, 1 << 20))
+    oracle = chain.words[-1]
+    d = len(pattern)
+    buf_len = max(len(w) for w in chain.words if len(w) <= cap)
+    positions = {buf_len + e for e in (-1, 0, 1)}
+    positions.update(k * 1024 + e for k in (1, 2, 3, 4, 1024) for e in (-1, 0, 1))
+    rng = random.Random(cap)
+    positions.update(int(10 ** rng.uniform(0, 15)) for _ in range(40))
+    positions.add(10 ** 15)
+    s = ArnouxRauzyStream(CycleStream(pattern), materialize_cap=cap)
+    ref = ArnouxRauzyStream(CycleStream(pattern), materialize_cap=1 << 12)
+    coding = fibonacci_rotation().coding
+    for pos in sorted(positions):
+        letter = s.letter_at(pos)
+        follow = bytes(s.take(8))
+        before, after = s.prefix_parikh(pos), s.prefix_parikh(pos + 1)
+        assert [y - x for x, y in zip(before, after)] == \
+            [int(a == letter) for a in range(d)], pos
+        assert sum(before) == pos
+        if pos + 9 <= len(oracle):
+            assert oracle[pos] == letter and oracle[pos + 1:pos + 9] == follow
+        if d == 2:
+            assert letter == rotation_letter(coding, pos)
+        assert (ref.letter_at(pos), bytes(ref.take(8)), ref.prefix_parikh(pos)) \
+            == (letter, follow, before), pos
+    for w, vec in zip(chain.words, chain.parikh_vectors):
+        assert s.prefix_parikh(len(w)) == vec

@@ -235,3 +235,22 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60)
     assert out.returncode == 0
     assert out.stdout == FIB32 + "\n"
+
+
+def test_modulus_above_2_64_is_rejected(capsys, tmp_path):
+    rc, out, err = run(capsys, "gen", "lcg:m=2^80,a=5,c=1",
+                       "--count", "4", "--warmup", "0")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "2^64" in err
+    raw = tmp_path / "g.bin"
+    assert main(["gen", "lcg:m=2^64,a=5,c=1", "--count", "4", "--warmup", "0",
+                 "--out", str(raw)]) == 0
+    assert raw.stat().st_size == 16
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, aprng, aprng.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"

@@ -142,6 +142,8 @@ def test_search_normals_threads_match_serial():
     serial = search_normals(pts, 64, bound=4, threads=1)
     pooled = search_normals(pts, 64, bound=4, threads=4)
     assert serial == pooled
+    assert serial == sorted((plane_count(pts, r.normal, 64) for r in serial),
+                            key=lambda r: (r.ratio, r.normal))
     ratios = [r.ratio for r in serial]
     assert ratios == sorted(ratios)
     assert serial[0].ratio < 1.0

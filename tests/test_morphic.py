@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -190,3 +192,102 @@ def test_stack_depth_tracked():
     s = fixed_point_stream(FIBONACCI, 0, block_cap=8)
     s.take(100000)
     assert s.max_stack_depth >= 1
+
+
+# -- random access far out: the descent tables against independent oracles --
+
+NONUNIFORM = Morphism(["01", "20", "1"])
+FAR_MORPHISMS = {"fib": FIBONACCI, "trib": TRIBONACCI, "tm": THUE_MORSE,
+                 "nonuniform": NONUNIFORM}
+NAIVE_LEN = 1 << 20
+FOLLOW = 600            # letters read on after each seek, across leaf refills
+FAR_LIMIT = 10 ** 15
+
+
+@pytest.fixture(scope="module")
+def naive_prefixes():
+    return {name: iterate_fixed_point(phi, 0, NAIVE_LEN)[:NAIVE_LEN]
+            for name, phi in FAR_MORPHISMS.items()}
+
+
+def image_length_edges(phi, limit):
+    """|phi^j(0)| - 1, |phi^j(0)| and |phi^j(0)| + 1 for every j with
+    |phi^j(0)| <= limit, from exact integer matrix powers.  Every table
+    edge |psi^k(0)| of psi = phi^power is among them."""
+    m = [[int(x) for x in row] for row in phi.adjacency_matrix()]
+    vec = [int(a == 0) for a in range(phi.alphabet_size)]
+    edges = set()
+    while sum(vec) <= limit:
+        n = sum(vec)
+        edges.update((n - 1, n, n + 1))
+        vec = [sum(m[i][j] * vec[j] for j in range(len(vec)))
+               for i in range(len(vec))]
+    return sorted(edges)
+
+
+def far_positions(phi, seed):
+    rng = random.Random(seed)
+    spread = [int(10 ** rng.uniform(0, 15)) for _ in range(40)]
+    return sorted(set(image_length_edges(phi, FAR_LIMIT) + spread + [FAR_LIMIT]))
+
+
+def access_record(s, pos):
+    letter = s.letter_at(pos)
+    follow = bytes(s.take(FOLLOW))
+    return letter, follow, s.prefix_parikh(pos), s.prefix_parikh(pos + 1)
+
+
+@pytest.mark.parametrize("name", sorted(FAR_MORPHISMS))
+@pytest.mark.parametrize("cap", [2, 3, 7, 4096])
+def test_far_access_matches_oracles(name, cap, naive_prefixes):
+    from aprng.rotation import fibonacci_rotation, rotation_letter
+    phi = FAR_MORPHISMS[name]
+    s = fixed_point_stream(phi, 0, block_cap=cap)
+    ref = fixed_point_stream(phi, 0, block_cap=4096 if cap != 4096 else 3)
+    naive = naive_prefixes[name]
+    coding = fibonacci_rotation().coding
+    d = phi.alphabet_size
+    for pos in far_positions(phi, cap):
+        letter, follow, before, after = rec = access_record(s, pos)
+        assert [y - x for x, y in zip(before, after)] == \
+            [int(a == letter) for a in range(d)], pos
+        assert sum(before) == pos
+        if pos + 1 + FOLLOW <= NAIVE_LEN:
+            assert naive[pos] == letter
+            assert naive[pos + 1:pos + 1 + FOLLOW] == follow
+        if phi is FIBONACCI:
+            assert letter == rotation_letter(coding, pos)
+            assert follow[-1] == rotation_letter(coding, pos + FOLLOW)
+        # a different block cap decomposes the word into other trees
+        assert access_record(ref, pos) == rec, pos
+
+
+@pytest.mark.parametrize("cap", [5, 6, 8, 9, 10, 11])
+def test_concurrent_seeks_on_fresh_tables(cap):
+    # these block caps are used nowhere else, so the threads find empty tables
+    positions = far_positions(TRIBONACCI, 1)
+    ref = fixed_point_stream(TRIBONACCI, 0)
+    expect = [access_record(ref, p) for p in positions]
+    base = fixed_point_stream(TRIBONACCI, 0, block_cap=cap)
+    streams = [base.fork() for _ in range(4)]
+    orders = [positions if i % 2 else positions[::-1] for i in range(4)]
+    results = [None] * 4
+    barrier = threading.Barrier(4)
+
+    def work(i):
+        barrier.wait()
+        results[i] = [access_record(streams[i], p) for p in orders[i]]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(4):
+        assert results[i] == (expect if i % 2 else expect[::-1])
