@@ -21,7 +21,7 @@ from .words import (
     right_special_factors,
     word_to_text,
 )
-from .streams import CycleStream, SliceStream, WordStream
+from .streams import CycleStream, WordStream
 from .morphic import (
     FIBONACCI,
     THUE_MORSE,
@@ -51,7 +51,6 @@ from .rotation import (
     RotationCoding,
     RotationStream,
     fibonacci_rotation,
-    frac_compare,
     rotation_letter,
     rotation_stream,
 )
@@ -68,11 +67,9 @@ from .prng import (
     Lcg,
     RightSpecialWitness,
     ShuffledPrng,
-    lcg_next,
     lcg_state_period,
     named_lcg,
     right_special_witness,
-    shuffled_next,
     stream_export,
 )
 from .lattice import (

@@ -6,8 +6,12 @@ emit the whole state.  A ShuffledPrng holds d sources and an infinite
 steering word over d letters: output n is the next unread value of source
 u_n, so each source is consumed exactly as often as its letter has appeared.
 Power-of-two moduli run on a lane-parallel numpy path (wraparound arithmetic
-mod 2^64 restricted by a mask is exact there); other moduli fall back to a
-plain loop, as the explicit remainder cannot be vectorized exactly.
+mod 2^64 restricted by a mask is exact there).  Pseudo-Mersenne moduli
+m = 2^k - c0 with c0 small enough for two folds 2^k = c0 (mod m) and one
+conditional subtract to reduce every product, such as those of l47-115 and
+l63-25, run on lanes of 32-bit-limb products.  Other moduli, among them
+every one below 2^32, step a plain Python-int loop, which also serves as the
+oracle of both lane paths.
 """
 from __future__ import annotations
 
@@ -35,6 +39,23 @@ def _geometric_sum(a: int, k: int, m: int) -> int:
     return g
 
 
+def _pseudo_mersenne(m: int, a: int, c: int) -> tuple[int, int] | None:
+    """(k, c0) with m = 2^k - c0 when the lane path reduces a*x + c exactly.
+
+    For every state x < m, folding the 128-bit product once, a*x + c =
+    (a*x >> k)*c0 + (a*x mod 2^k) + c (mod m), must fit in 64 bits; folding
+    any 64-bit word once more must land below 2m, so that one conditional
+    subtract finishes the reduction.
+    """
+    k = m.bit_length()
+    c0 = (1 << k) - m
+    first = c0 * ((a * (m - 1)) >> k) + (1 << k) - 1 + c
+    second = c0 * (((1 << 64) - 1) >> k) + (1 << k) - 1
+    if k < 64 and first < 1 << 64 and second < 2 * m:
+        return k, c0
+    return None
+
+
 class Lcg:
     """Z_{n+1} = (a*Z_n + c) mod m with 32-bit output Z >> shift."""
 
@@ -52,6 +73,7 @@ class Lcg:
         self.shift = max(0, (m - 1).bit_length() - 32)
         self._pow2 = m & (m - 1) == 0
         self._mask = m - 1 if self._pow2 else 0
+        self._fold = None if self._pow2 else _pseudo_mersenne(m, a, c)
 
     @property
     def out_range(self) -> int:
@@ -75,6 +97,8 @@ class Lcg:
             return np.empty(0, dtype=np.uint64)
         if self._pow2:
             return self._states_pow2(n)
+        if self._fold:
+            return self._states_fold(n)
         out = np.empty(n, dtype=np.uint64)
         x, a, c, m = self.state, self.a, self.c, self.m
         for i in range(n):
@@ -110,6 +134,43 @@ class Lcg:
         self.state = int(flat[-1])
         return flat
 
+    def _states_fold(self, n: int) -> np.ndarray:
+        # lane j holds Z_{j*S + t + 1} at step t: each lane starts from a
+        # Python-int jump and steps by a itself, whose size bounds the fold
+        m, a, c = self.m, self.a, self.c
+        k, c0 = self._fold
+        K = min(n, _LANES)
+        S = -(-n // K)
+        A = pow(a, S, m)
+        C = (c * _geometric_sum(a, S, m)) % m
+        starts = [(a * self.state + c) % m]
+        for _ in range(K - 1):
+            starts.append((A * starts[-1] + C) % m)
+        lanes = np.array(starts, dtype=np.uint64)
+        states = np.empty((K, S), dtype=np.uint64)
+        states[:, 0] = lanes
+        u = np.uint64
+        half, low32 = u(32), u(0xFFFFFFFF)
+        a_lo, a_hi = u(a & 0xFFFFFFFF), u(a >> 32)
+        kk, back, low_k = u(k), u(64 - k), u((1 << k) - 1)
+        c0, c, m = u(c0), u(c), u(m)
+        for t in range(1, S):
+            # 128-bit a*x as (hi, lo) from four 32x32-bit products
+            x_lo, x_hi = lanes & low32, lanes >> half
+            ll = x_lo * a_lo
+            mid = x_hi * a_lo + (ll >> half)
+            mid2 = x_lo * a_hi + (mid & low32)
+            hi = x_hi * a_hi + (mid >> half) + (mid2 >> half)
+            lo = (mid2 << half) | (ll & low32)
+            # a*x + c = (a*x >> k)*c0 + (a*x mod 2^k) + c  (mod m), < 2^64
+            lanes = ((hi << back) | (lo >> kk)) * c0 + (lo & low_k) + c
+            lanes = (lanes >> kk) * c0 + (lanes & low_k)             # < 2m
+            np.subtract(lanes, m, out=lanes, where=lanes >= m)
+            states[:, t] = lanes
+        flat = states.reshape(-1)[:n]
+        self.state = int(flat[-1])
+        return flat
+
     def jump(self, k: int) -> None:
         """Advance the state by k steps in O(log k)."""
         if k < 0:
@@ -127,11 +188,6 @@ class Lcg:
 
     def __repr__(self):
         return f"Lcg(m={self.m}, a={self.a}, c={self.c}, state={self.state})"
-
-
-def lcg_next(g: Lcg) -> int:
-    """Advance one step and return the 32-bit output."""
-    return g.next()
 
 
 # moduli, multipliers and increments of the stock generators; seeds default 1
@@ -210,10 +266,6 @@ class ShuffledPrng:
 
     def __repr__(self):
         return f"ShuffledPrng({self.steering!r}, {self.sources!r})"
-
-
-def shuffled_next(z: ShuffledPrng) -> int:
-    return z.next()
 
 
 class RightSpecialWitness:

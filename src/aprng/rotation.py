@@ -6,16 +6,22 @@ letter decisions never touch floating point.  The coding of the rotation by
 alpha with intercept rho writes letter 0 when the orbit point {rho + n*alpha}
 falls in the long interval of length 1-alpha and letter 1 otherwise; the two
 half-open conventions differ only when an orbit point hits the split exactly.
+Streams produce letters from a 64-bit fixed-point phase whose error is
+bounded per block; the few positions inside that bound of a decision point
+fall back to the exact comparison.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import floor, gcd, isqrt
 
 from .errors import FieldMismatchError
 from .streams import WordStream
 
 import numpy as np
+
+_ONE = 1 << 64          # fixed-point scale of the phase
+_BLOCK = 1 << 16        # letters per exactly computed block base
 
 
 def _squarefree_split(D: int) -> tuple[int, int]:
@@ -174,14 +180,9 @@ class QuadraticIrrational:
         else:
             t = q * q * self.D
             root = -(isqrt(t) + (0 if isqrt(t) ** 2 == t else 1))
-        k = (p + root) // r
-        # p + q*sqrt(D) lies in [p + root, p + root + 1), so k can be off by
-        # at most one; settle it exactly
-        while self.compare(k + 1) >= 0:
-            k += 1
-        while self.compare(k) < 0:
-            k -= 1
-        return k
+        # root = floor(q*sqrt(D)), and floor(z / r) = floor(floor(z) / r)
+        # for every real z and integer r > 0, so this floor is exact
+        return (p + root) // r
 
     def frac(self) -> "QuadraticIrrational":
         """Fractional part, in [0, 1)."""
@@ -192,11 +193,6 @@ class QuadraticIrrational:
 
     def __repr__(self):
         return f"QuadraticIrrational({self.p}, {self.q}, {self.r}, D={self.D})"
-
-
-def frac_compare(x: QuadraticIrrational, y) -> int:
-    """Exact three-way comparison: -1, 0 or 1 for x < y, x = y, x > y."""
-    return x.compare(y)
 
 
 class RotationCoding:
@@ -215,6 +211,10 @@ class RotationCoding:
             raise ValueError("slope must be irrational: rational slopes give periodic words")
         if not (QuadraticIrrational.from_rational(0) < alpha < 1):
             raise ValueError("slope must lie strictly between 0 and 1")
+        if not rho.is_rational() and rho.D != alpha.D:
+            raise FieldMismatchError(
+                f"intercept over sqrt({rho.D}) and slope over sqrt({alpha.D}) "
+                "cannot be combined exactly")
         self.alpha = alpha
         self.rho = rho.frac()
         self.convention = convention
@@ -237,63 +237,41 @@ def rotation_letter(coding: RotationCoding, n: int) -> int:
 
 
 class RotationStream(WordStream):
-    """Letters of a rotation coding, emitted sequentially with integer state.
+    """Letters of a rotation coding, produced in fixed-point blocks.
 
-    The orbit point {rho + n*alpha} is kept as (P + Q*sqrt(D))/R over a fixed
-    denominator R; each step adds alpha and subtracts 1 on wrap, so the letter
-    test is one exact sign evaluation.  Numerator bit-lengths grow only
-    logarithmically in n.
+    A block of up to _BLOCK letters from position pos starts at
+    x_0 = floor({rho + pos*alpha} * 2^64), computed exactly, and steps by
+    A = floor(alpha * 2^64) with uint64 wraparound, so after i steps the true
+    phase lies in [x_i, x_i + i + 1) ulps, read cyclically.  Letter 1 is
+    x_i >= 2^64 - A.  The positions whose interval reaches across the split
+    point 1 - alpha, or across 0 (where a phase just below 1 reads 1 and one
+    that wrapped reads 0, and the right convention reads exactly 0 as 1),
+    are decided by the exact comparison of rotation_letter.
     """
 
     def __init__(self, coding: RotationCoding):
         super().__init__(2)
         self.coding = coding
-        a, rho = coding.alpha, coding.rho
-        self._D = a.D
-        self._R = a.r * rho.r // gcd(a.r, rho.r)
-        self._Pa = a.p * (self._R // a.r)
-        self._Qa = a.q * (self._R // a.r)
-        self._rewind(0)
+        A = floor(coding.alpha * _ONE)
+        self._A = np.uint64(A)
+        self._T = np.uint64(_ONE - 1 - A)      # letter 1 iff x > T
 
     def _rewind(self, pos: int) -> None:
-        x = (self.coding.rho + self.coding.alpha * pos).frac()
-        # canonical reduction only ever shrinks the denominator, so x.r | R
-        scale = self._R // x.r
-        self._P = x.p * scale
-        self._Q = x.q * scale
-        self._zero = (x.p == 0 and x.q == 0)
-
-    @staticmethod
-    def _sign(A: int, B: int, D: int) -> int:
-        if B == 0:
-            return (A > 0) - (A < 0)
-        if B > 0:
-            if A >= 0:
-                return 1
-            return 1 if B * B * D > A * A else (-1 if B * B * D < A * A else 0)
-        if A <= 0:
-            return -1
-        return 1 if A * A > B * B * D else (-1 if A * A < B * B * D else 0)
+        pass  # position alone determines the phase
 
     def _produce(self, n: int) -> np.ndarray:
         out = np.empty(n, dtype=np.uint8)
-        P, Q, R, D = self._P, self._Q, self._R, self._D
-        Pa, Qa = self._Pa, self._Qa
-        left = self.coding.convention == "left"
-        zero = self._zero
-        sign = self._sign
-        for i in range(n):
-            P += Pa
-            Q += Qa
-            s = sign(P - R, Q, D)       # did {x} + alpha reach 1?
-            if left:
-                out[i] = 1 if s >= 0 else 0
-            else:
-                out[i] = 1 if (zero or s > 0) else 0
-            if s >= 0:
-                P -= R
-            zero = (s == 0)
-        self._P, self._Q, self._zero = P, Q, zero
+        alpha, rho, T = self.coding.alpha, self.coding.rho, self._T
+        for off in range(0, n, _BLOCK):
+            pos = self._pos + off
+            i = np.arange(min(_BLOCK, n - off), dtype=np.uint64)
+            x = i * self._A
+            x += np.uint64(floor((rho + alpha * pos) * _ONE) % _ONE)
+            np.greater(x, T, out=out[off:off + i.size])
+            i += np.uint64(1)                   # error band width at i
+            unsure = ((T - x) < i) | ((np.uint64(0) - x) < i)
+            for j in np.flatnonzero(unsure).tolist():
+                out[off + j] = rotation_letter(self.coding, pos + j)
         return out
 
     def skip(self, n: int) -> None:

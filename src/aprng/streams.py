@@ -135,27 +135,3 @@ class CycleStream(WordStream):
 
     def __repr__(self) -> str:
         return f"CycleStream({self._pat_bytes!r})"
-
-
-class SliceStream(WordStream):
-    """Suffix view u[offset:] of another stream (shift-consistency checks)."""
-
-    def __init__(self, inner: WordStream, offset: int):
-        if offset < 0:
-            raise ValueError("offset must be >= 0")
-        super().__init__(inner.alphabet_size)
-        self._inner = inner.fork()
-        self._offset = offset
-        self._inner.seek(offset)
-
-    def _produce(self, n: int) -> np.ndarray:
-        return self._inner.take(n)
-
-    def _rewind(self, pos: int) -> None:
-        self._inner.seek(self._offset + pos)
-
-    def fork(self) -> "SliceStream":
-        return SliceStream(self._inner, self._offset)
-
-    def __repr__(self) -> str:
-        return f"SliceStream({self._inner!r}, {self._offset})"

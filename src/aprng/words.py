@@ -16,6 +16,9 @@ MAX_ALPHABET = 16
 
 Word = bytes
 
+_BYTES = bytes(range(256))
+_DIGITS = bytes.maketrans(_BYTES[:10], b"0123456789")
+
 
 def as_word(w, alphabet_size: int | None = None) -> bytes:
     """Normalize ``w`` to bytes of letters.
@@ -40,17 +43,14 @@ def as_word(w, alphabet_size: int | None = None) -> bytes:
     else:
         raise TypeError(f"cannot interpret {type(w).__name__} as a word")
     cap = MAX_ALPHABET if alphabet_size is None else alphabet_size
-    if out and max(out) >= cap:
+    if out.translate(None, _BYTES[:max(cap, 0)]):      # a byte >= cap is left
         raise AlphabetError(f"letter {max(out)} outside alphabet of size {cap}")
     return out
 
 
 def word_to_text(w) -> str:
     """Render a word as ASCII digits (alphabet size <= 10 only)."""
-    wb = as_word(w)
-    if wb and max(wb) > 9:
-        raise AlphabetError("letters above 9 have no single-digit rendering")
-    return "".join(str(b) for b in wb)
+    return as_word(w, 10).translate(_DIGITS).decode("ascii")
 
 
 def _letters_of(p) -> np.ndarray:

@@ -215,6 +215,10 @@ def test_error_exit_codes(capsys):
     assert rc2 == 2 and "error:" in err2
     rc3, _, err3 = run(capsys, "welldoc", "trib", "--m", "300")
     assert rc3 == 2 and "residue space" in err3
+    # an intercept over sqrt(2) cannot ride a slope over sqrt(5)
+    rc4, out4, err4 = run(capsys, "word", "rot:(3-1*sqrt(5))/2:(0+1*sqrt(2))/3",
+                          "--count", "8")
+    assert rc4 == 2 and out4 == "" and err4.startswith("error: ")
 
 
 def test_argparse_rejects_bad_values(capsys):

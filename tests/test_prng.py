@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from aprng.errors import AlphabetError, ParameterError
 from aprng.morphic import fibonacci_stream
 from aprng.prng import (FOUND, NAMED_LCGS, UNDETERMINED, Lcg, ShuffledPrng,
-                        lcg_next, lcg_state_period, named_lcg,
-                        right_special_witness, shuffled_next, stream_export)
+                        lcg_state_period, named_lcg, right_special_witness,
+                        stream_export)
+from aprng.specs import parse_gen_spec
 
 RANDU_FIRST = [65539, 393225, 1769499, 7077969]
 
@@ -33,7 +34,7 @@ def test_randu_known_outputs():
     g = Lcg(2 ** 31, 65539, 0, 1)
     assert [g.next() for _ in range(4)] == RANDU_FIRST
     assert list(named_lcg("randu").outputs(4)) == RANDU_FIRST
-    assert lcg_next(named_lcg("randu")) == RANDU_FIRST[0]
+    assert named_lcg("randu").next() == RANDU_FIRST[0]
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_LCGS))
@@ -61,7 +62,42 @@ def test_nonpow2_loop_and_next_consistency():
     g2 = Lcg(m, a, c, 1)
     assert [g1.next() for _ in range(50)] == g2.outputs(50).tolist()
     g3 = Lcg(1000, 333, 7, 1)
-    assert g3.outputs(200).tolist() == py_outputs(1000, 333, 7, 1, 200)
+    assert g3._fold is None             # not pseudo-Mersenne: the loop runs
+    assert g3.outputs(5000).tolist() == py_outputs(1000, 333, 7, 1, 5000)
+    assert g3.state == py_states(1000, 333, 7, 1, 5000)[-1]
+
+
+PSEUDO_MERSENNE = {
+    "l63-25": lambda seed: named_lcg("l63-25", seed),
+    "l47-115": lambda seed: named_lcg("l47-115", seed),
+    "lcg c=5": lambda seed: parse_gen_spec(
+        "lcg:m=2^47-115,a=71971110957370,c=5").build(seed),
+    # c0 = 2^61 + 1 leaves a quarter of the folded values in [m, 2^63),
+    # where the final conditional subtract is needed
+    "wide c0": lambda seed: Lcg(2 ** 63 - 2 ** 61 - 1, 5, 3, seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PSEUDO_MERSENNE))
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, (1 << 20) + 3])
+def test_pseudo_mersenne_lanes_match_loop(name, n):
+    g = PSEUDO_MERSENNE[name](12345)
+    g.warm_up(10 ** 9)
+    assert g._fold is not None
+    m, a, c, start = g.m, g.a, g.c, g.state
+    want = py_states(m, a, c, start, n)
+    shift = g.shift
+    assert g.outputs(n).tolist() == [x >> shift for x in want]
+    assert g.state == want[-1]
+
+
+@pytest.mark.parametrize("name", sorted(PSEUDO_MERSENNE))
+def test_pseudo_mersenne_lanes_resume_mid_stream(name):
+    g = PSEUDO_MERSENNE[name](7)
+    m, a, c = g.m, g.a, g.c
+    parts = np.concatenate([g.outputs(k) for k in (1, 4095, 2000, 5000, 4097)])
+    assert parts.tolist() == py_outputs(m, a, c, 7, 15193)
+    assert g.state == py_states(m, a, c, 7, 15193)[-1]
 
 
 def test_outputs_resume_mid_stream():
@@ -148,14 +184,15 @@ def test_out_range_values():
 
 
 def test_shuffle_matches_interleaving_oracle():
-    n = 1000
-    letters = bytes(fibonacci_stream().take(n))
-    srcs = [Lcg(2 ** 31, 65539, 0, 1), Lcg(2 ** 31, 65539, 0, 7)]
-    expected = [srcs[b].next() for b in letters]
-    z = ShuffledPrng(fibonacci_stream(),
-                     [Lcg(2 ** 31, 65539, 0, 1), Lcg(2 ** 31, 65539, 0, 7)])
-    assert z.outputs(n).tolist() == expected
-    assert shuffled_next(z) == srcs[letters and fibonacci_stream().letter_at(n)].next()
+    # a power-of-two pair, and a prime pair drawing enough for the lanes
+    for (m, a, c), n in [((2 ** 31, 65539, 0), 1000),
+                         (NAMED_LCGS["l63-25"], 20000)]:
+        letters = bytes(fibonacci_stream().take(n))
+        srcs = [Lcg(m, a, c, 1), Lcg(m, a, c, 7)]
+        expected = [srcs[b].next() for b in letters]
+        z = ShuffledPrng(fibonacci_stream(), [Lcg(m, a, c, 1), Lcg(m, a, c, 7)])
+        assert z.outputs(n).tolist() == expected
+        assert z.next() == srcs[fibonacci_stream().letter_at(n)].next()
 
 
 def test_shuffle_counters_track_steering_parikh():

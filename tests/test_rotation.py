@@ -1,14 +1,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aprng.errors import FieldMismatchError
 from aprng.morphic import fibonacci_stream
+import aprng.rotation as rotation
 from aprng.rotation import (QuadraticIrrational, RotationCoding,
-                            RotationStream, fibonacci_rotation, frac_compare,
+                            RotationStream, fibonacci_rotation,
                             rotation_letter, rotation_stream)
 
 GOLDEN_CONJ = QuadraticIrrational(3, -1, 2, 5)      # (3-sqrt(5))/2
@@ -125,17 +127,17 @@ def test_floor_near_integer_boundary():
 def test_frac_compare_known_values():
     # exact sign of x - y, settled by integer cross-multiplication
     golden = QuadraticIrrational(1, 1, 2, 5)            # (1+sqrt(5))/2
-    assert frac_compare(golden, QuadraticIrrational.from_rational(Fraction(3, 2))) == 1
-    assert frac_compare(golden, golden) == 0
+    assert golden.compare(QuadraticIrrational.from_rational(Fraction(3, 2))) == 1
+    assert golden.compare(golden) == 0
     # (sqrt(5)-1)/2 = 0.6180339887... sits just below the rounding 618034/10^6:
     # cross-multiplied, 5 * 10^12 = 5000000000000 < 2236068^2 = 5000000100624
     near = QuadraticIrrational.from_rational(Fraction(618034, 10 ** 6))
     golden_frac = QuadraticIrrational(-1, 1, 2, 5)      # (sqrt(5)-1)/2
-    assert frac_compare(golden_frac, near) == -1
-    assert frac_compare(near, golden_frac) == 1
+    assert golden_frac.compare(near) == -1
+    assert near.compare(golden_frac) == 1
     # incompatible radicals cannot be compared exactly
     with pytest.raises(FieldMismatchError):
-        frac_compare(QuadraticIrrational(0, 1, 1, 2), QuadraticIrrational(0, 1, 1, 3))
+        QuadraticIrrational(0, 1, 1, 2).compare(QuadraticIrrational(0, 1, 1, 3))
 
 
 def test_rotation_letter_conventions_at_boundary():
@@ -206,7 +208,67 @@ def test_right_convention_differs_only_on_orbit_hits():
 
 def test_generic_rho_conventions_agree():
     alpha = GOLDEN_CONJ
-    rho = QuadraticIrrational(0, 1, 3, 2)     # sqrt(2)/3, off the orbit
+    rho = QuadraticIrrational(1, 1, 7, 5)     # (1+sqrt(5))/7, off the orbit
     left = rotation_stream(alpha, rho, "left")
     right = rotation_stream(alpha, rho, "right")
     assert bytes(left.take(5000)) == bytes(right.take(5000))
+
+
+def test_mixed_field_coding_is_rejected():
+    sqrt2_third = QuadraticIrrational(0, 1, 3, 2)
+    with pytest.raises(FieldMismatchError):
+        RotationCoding(GOLDEN_CONJ, sqrt2_third)
+    with pytest.raises(FieldMismatchError):
+        rotation_stream(GOLDEN_CONJ, sqrt2_third, "right")
+    # a rational intercept shares every field
+    RotationCoding(GOLDEN_CONJ, QuadraticIrrational.from_rational(Fraction(1, 3)))
+
+
+# at 3416454622906706 the phase is 2414 ulps above 0, but a block started
+# 65000 letters earlier reads it as 2^64 - 731, just below 1: only the error
+# band around 0 sends that letter to the exact path
+NEAR_WRAP = 3416454622906706 - 65000
+BLOCK = rotation._BLOCK
+
+
+@pytest.mark.parametrize("convention", ["left", "right"])
+@pytest.mark.parametrize("start", [0, 10 ** 9, 10 ** 15, NEAR_WRAP])
+def test_fixed_point_take_matches_exact(convention, start):
+    n = 2 * BLOCK + 7
+    s = fibonacci_rotation(convention)
+    s.seek(start)
+    got = s.take(n)
+    # rho = alpha never lands on 0 or on 1 - alpha, so both conventions
+    # give the Fibonacci word
+    fib = fibonacci_stream()
+    fib.seek(start)
+    assert bytes(got) == bytes(fib.take(n))
+    coding = s.coding
+    checks = set(range(0, n, 613)) | {BLOCK - 1, BLOCK, BLOCK + 1, n - 1}
+    if start == NEAR_WRAP:
+        checks |= set(range(64990, 65010))
+    for i in sorted(checks):
+        assert got[i] == rotation_letter(coding, start + i), i
+    # the same letters in pieces that straddle the block boundaries
+    s.seek(start)
+    parts = [s.take(k) for k in (1, BLOCK - 2, 3, BLOCK, 5)]
+    assert bytes(np.concatenate(parts)) == bytes(got)
+
+
+@pytest.mark.parametrize("convention", ["left", "right"])
+@pytest.mark.parametrize("rho", [QuadraticIrrational(-1, 1, 2, 5),     # 1 - alpha
+                                 QuadraticIrrational.from_rational(0)])
+def test_orbit_hits_take_the_exact_path(monkeypatch, convention, rho):
+    coding = RotationCoding(GOLDEN_CONJ, rho, convention)
+    exact = []
+
+    def counted(c, n):
+        exact.append(n)
+        return rotation_letter(c, n)
+
+    monkeypatch.setattr(rotation, "rotation_letter", counted)
+    got = RotationStream(coding).take(BLOCK + 300)
+    assert 0 in exact
+    monkeypatch.undo()
+    for i in list(range(300)) + list(range(BLOCK - 3, BLOCK + 300)):
+        assert got[i] == rotation_letter(coding, i), i
