@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DirectiveError
+from .morphic import FixedPointStream
 from .streams import WordStream
 from .words import PrefixBuffer, as_word
 
@@ -120,9 +121,10 @@ def next_bispecial(chain: BispecialChain, letter: int) -> bytes:
 class ArnouxRauzyStream(WordStream):
     """Characteristic Arnoux-Rauzy word driven by a directive stream.
 
-    Validation is heuristic by necessity: only the first
-    ``check_horizon`` directive letters are inspected for the
-    every-letter-appears promise.
+    The directive must use every letter infinitely often.  For a morphic
+    fixed point this is decided exactly from the morphism; for other
+    directives the check is heuristic by necessity: only the first
+    ``check_horizon`` directive letters are inspected.
     """
 
     def __init__(self, directive: WordStream, check_horizon: int = DIRECTIVE_CHECK_HORIZON,
@@ -131,12 +133,21 @@ class ArnouxRauzyStream(WordStream):
         super().__init__(d)
         if d < 2:
             raise DirectiveError("Arnoux-Rauzy words need an alphabet of size >= 2")
-        seen = np.bincount(directive.fork().take(check_horizon), minlength=d)
-        if (seen == 0).any():
+        if isinstance(directive, FixedPointStream):
+            recurrent = directive.morphism.recurrent_letters(directive.seed)
+            missing = [a for a in range(d) if a not in recurrent]
+            if missing:
+                raise DirectiveError(
+                    f"letters {missing} occur only finitely often in the "
+                    f"directive fixed point")
+        else:
+            seen = np.bincount(directive.fork().take(check_horizon),
+                               minlength=d)
             missing = [a for a in range(d) if seen[a] == 0]
-            raise DirectiveError(
-                f"letters {missing} do not appear in the first {check_horizon} "
-                f"directive letters")
+            if missing:
+                raise DirectiveError(
+                    f"letters {missing} do not appear in the first "
+                    f"{check_horizon} directive letters")
         self._dir_source = directive
         self._dir = directive.fork()
         self._check_horizon = check_horizon

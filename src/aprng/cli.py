@@ -156,8 +156,6 @@ def _cmd_lattice(args) -> int:
     gen = _make_gen(args)
     scale = args.scale or getattr(gen, "out_range", None) or 1 << 32
     tuples = consecutive_tuples(gen, args.sample, args.t)
-    if args.dump:
-        dump_points(tuples, scale, args.dump)
     result = {
         "generator": args.spec if args.word is None else
         f"shuffle:{args.word}:{','.join(args.gens)}",
@@ -175,6 +173,9 @@ def _cmd_lattice(args) -> int:
                                  threads=args.threads)
         result["best"] = reports[0].as_dict()
         result["reports"] = [r.as_dict() for r in reports[:_REPORT_CAP]]
+    # after the analysis, which rejects a sample outside the scale's cube
+    if args.dump:
+        dump_points(tuples, scale, args.dump)
     if args.json:
         _print_json(result)
     else:

@@ -7,18 +7,32 @@ lies on the class floor(n.x / s) where s is the lattice scale (the size of
 the output set).  We count distinct classes hit by a sample and compare with
 the count attainable by the full cube {0..s-1}^t, which has a closed form
 once the scale dwarfs the coefficients.  All dot products are exact integers.
+
+The search over all normals is pruned without changing a single count: a
+sample inside the cube hits at most the full cube's classes, and a longer
+sample hits at least the classes of its prefix.  So a normal whose count on
+a prefix already equals the full-cube count keeps it on the whole sample,
+and only the normals still short of it are recounted on longer prefixes.
 """
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import ParameterError
-from .welldoc import _thread_count
+from .parallel import thread_count, thread_map
+
+# The pruned search counts every normal on the first _SCREEN tuples, then
+# recounts the normals still short of the full-cube count on prefixes
+# _GROWTH times longer, ending with the whole sample.
+_SCREEN = 1 << 12
+_GROWTH = 16
+
+# largest number of candidate normals a search will enumerate
+_MAX_NORMALS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -101,6 +115,7 @@ def plane_count(tuples: np.ndarray, normal, scale: int) -> LatticeReport:
     big = max(abs(v) for v in normal) if any(normal) else 0
     if big == 0:
         raise ParameterError("normal must be nonzero")
+    _check_inside(pts, scale)
     if big * t * scale >= 1 << 62:
         # exact fallback for scales beyond int64 dot range
         classes = set()
@@ -135,6 +150,14 @@ def candidate_normals(t: int, bound: int):
                 break
 
 
+def _check_inside(pts: np.ndarray, scale: int) -> None:
+    """The full-cube comparison only bounds samples inside [0, scale)^t."""
+    if pts.size and (int(pts.min()) < 0 or int(pts.max()) >= scale):
+        raise ParameterError(
+            f"sample values span [{int(pts.min())}, {int(pts.max())}], "
+            f"outside the scale's range [0, {scale})")
+
+
 def search_normals(tuples: np.ndarray, scale: int, bound: int = 10,
                    threads: int | None = None) -> list[LatticeReport]:
     """plane_count for every candidate normal, most lattice-like first
@@ -145,44 +168,72 @@ def search_normals(tuples: np.ndarray, scale: int, bound: int = 10,
     t = pts.shape[1]
     if bound < 1:
         raise ParameterError("bound must be >= 1")
+    if ((2 * bound + 1) ** t - 1) // 2 > _MAX_NORMALS:
+        raise ParameterError(
+            f"bound {bound} in dimension {t} gives more than {_MAX_NORMALS} "
+            "candidate normals")
     if bound * t * scale >= 1 << 62:
         raise ParameterError("scale too large for the vectorized search")
-    pts = np.ascontiguousarray(pts.astype(np.int64, copy=False))
+    pts = pts.astype(np.int64, copy=False)
+    _check_inside(pts, scale)
     cols = [pts[:, j].copy() for j in range(t)]
+    size = pts.shape[0]
     normals = list(candidate_normals(t, bound))
+    caps = [full_lattice_class_count(nv, scale) for nv in normals]
+    lows = [sum(v for v in nv if v < 0) * (scale - 1) // scale
+            for nv in normals]
+    # floor division by a power-of-two scale is an arithmetic shift
+    shift = scale.bit_length() - 1 if scale & (scale - 1) == 0 else None
     per_thread = threading.local()
 
-    def run(normal):
+    def count(job):
         # Two sample-sized buffers per thread, reused for every normal: fresh
         # temporaries per normal make the allocator map and unmap them each
         # time, and the page faults cost as much as the arithmetic.
         if not hasattr(per_thread, "bufs"):
             per_thread.bufs = (np.empty_like(cols[0]), np.empty_like(cols[0]))
-        dots, term = per_thread.bufs
-        np.multiply(cols[0], normal[0], out=dots)
-        for j in range(1, t):
-            if normal[j]:
-                np.multiply(cols[j], normal[j], out=term)
-                dots += term
-        lo = sum(v for v in normal if v < 0) * (scale - 1)
-        hi = sum(v for v in normal if v > 0) * (scale - 1)
-        span_lo = lo // scale
-        span = hi // scale - span_lo + 1
-        dots //= scale
-        dots -= span_lo
-        hits = np.bincount(dots, minlength=span)
-        count = int(np.count_nonzero(hits))
-        return LatticeReport(
-            t=t, normal=normal, plane_count=count,
-            sample_size=int(pts.shape[0]),
-            comparison=full_lattice_class_count(normal, scale), scale=scale)
+        idx, n = job
+        dots, work = (b[:n] for b in per_thread.bufs)
+        part = [c[:n] for c in cols]
+        counts = []
+        prev = None
+        for i in idx:
+            nv = normals[i]
+            if prev is not None and nv[:-1] == prev[:-1] and nv[-1] == prev[-1] + 1:
+                dots += part[-1]
+            else:
+                np.multiply(part[0], nv[0], out=dots)
+                for j in range(1, t):
+                    if nv[j]:
+                        np.multiply(part[j], nv[j], out=work)
+                        dots += work
+            prev = nv
+            if shift is None:
+                np.floor_divide(dots, scale, out=work)
+            else:
+                np.right_shift(dots, shift, out=work)
+            work -= lows[i]
+            counts.append(int(np.count_nonzero(np.bincount(work))))
+        return counts
 
-    nthreads = _thread_count(threads)
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            reports = list(pool.map(run, normals))
-    else:
-        reports = [run(n) for n in normals]
+    plane = [0] * len(normals)
+    short = list(range(len(normals)))
+    n = min(_SCREEN, size)
+    # contiguous runs keep neighbouring normals together for the step
+    pieces = 4 * thread_count(threads)
+    while short:
+        step = -(-len(short) // pieces)
+        jobs = [(short[k:k + step], n) for k in range(0, len(short), step)]
+        for (idx, _), counts in zip(jobs, thread_map(count, jobs, threads)):
+            for i, c in zip(idx, counts):
+                plane[i] = c
+        if n == size:
+            break
+        short = [i for i in short if plane[i] < caps[i]]
+        n = min(n * _GROWTH, size)
+    reports = [LatticeReport(t=t, normal=nv, plane_count=plane[i],
+                             sample_size=size, comparison=caps[i], scale=scale)
+               for i, nv in enumerate(normals)]
     reports.sort(key=lambda r: (r.ratio, r.normal))
     return reports
 

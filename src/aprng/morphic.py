@@ -68,6 +68,27 @@ class Morphism:
         im = self.images[a]
         return len(im) >= 2 and im[0] == a
 
+    def recurrent_letters(self, seed: int) -> frozenset[int]:
+        """Letters occurring infinitely often in the fixed point from seed.
+
+        With phi(seed) = seed.w the fixed point is seed.w.phi(w).phi^2(w)...,
+        so a letter recurs iff it lies in alph(phi^k(w)) for infinitely many
+        k.  Those alphabets follow S_{k+1} = union of alph(phi(c)), c in S_k,
+        which is eventually periodic; the recurrent letters are the union of
+        its cycle.
+        """
+        if not self.is_prolongable(seed):
+            raise ValueError(f"morphism is not prolongable on letter {seed}")
+        alph = [frozenset(im) for im in self.images]
+        s = frozenset(self.images[seed][1:])
+        first_seen: dict[frozenset, int] = {}
+        orbit = []
+        while s not in first_seen:
+            first_seen[s] = len(orbit)
+            orbit.append(s)
+            s = frozenset().union(*(alph[c] for c in s))
+        return frozenset().union(*orbit[first_seen[s]:])
+
     def adjacency_matrix(self) -> np.ndarray:
         """Matrix M with M[i][j] = occurrences of letter i in the image of j,
         so parikh(phi(w)) = M @ parikh(w)."""

@@ -9,11 +9,14 @@ Power-of-two moduli run on a lane-parallel numpy path (wraparound arithmetic
 mod 2^64 restricted by a mask is exact there).  Pseudo-Mersenne moduli
 m = 2^k - c0 with c0 small enough for two folds 2^k = c0 (mod m) and one
 conditional subtract to reduce every product, such as those of l47-115 and
-l63-25, run on lanes of 32-bit-limb products.  Other moduli, among them
-every one below 2^32, step a plain Python-int loop, which also serves as the
-oracle of both lane paths.
+l63-25, run on lanes of 32-bit-limb products, as many as balance the lane
+starts against the vector steps of the call (4096 from about 2.6e5 values
+on).  Other moduli, among them every one below 2^32, step a plain Python-int
+loop, which also serves as the oracle of both lane paths.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,6 +25,10 @@ from .streams import WordStream
 
 _CHUNK = 1 << 20
 _LANES = 1 << 12
+# Pseudo-Mersenne lanes: each lane start is a Python-int step (about 0.3 us)
+# and each vector step a dozen numpy calls (about 28 us), so about
+# sqrt(_LANE_BALANCE * n) lanes balance the two for a call of n values.
+_LANE_BALANCE = 64
 
 UNDETERMINED = "UNDETERMINED"
 FOUND = "FOUND"
@@ -139,7 +146,7 @@ class Lcg:
         # Python-int jump and steps by a itself, whose size bounds the fold
         m, a, c = self.m, self.a, self.c
         k, c0 = self._fold
-        K = min(n, _LANES)
+        K = min(n, _LANES, 1 + math.isqrt(_LANE_BALANCE * n))
         S = -(-n // K)
         A = pow(a, S, m)
         C = (c * _geometric_sum(a, S, m)) % m

@@ -5,12 +5,15 @@ Three classical checks: equidistribution chi-square over equal cells of
 geometrically expected gap-length cells.  Cell membership is computed in
 integer arithmetic ((v * bins) >> 32), expected counts from the exact integer
 cell widths, and the p-value from the regularized upper incomplete gamma
-function.  These are sanity instruments, not a substitute for the big
-external batteries; their job is to catch gross defects and to calibrate
+function, evaluated in-package by its series or continued fraction, so that
+no test needs scipy.  These are sanity instruments, not a substitute for the
+big external batteries; their job is to catch gross defects and to calibrate
 cleanly on a reference source.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +22,7 @@ from .errors import InsufficientDataError, ParameterError
 
 _CHUNK = 1 << 22
 _GAP_CAP = 1 << 12
+_MAX_LOG = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -60,10 +64,49 @@ def _cell_widths(bins: int) -> np.ndarray:
     return np.diff(np.array(edges, dtype=np.int64))
 
 
+def _gamma_q(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x) for a > 0, x >= 0.
+
+    Below x = a + 1 the series for P(a, x) converges fast and Q = 1 - P is
+    free of cancellation; above it, the continued fraction for Q converges
+    fast (modified Lentz).  Both carry the factor x^a e^-x / Gamma(a), taken
+    in logs; where its log falls below -log(DBL_MAX) the factor is 0.0, as
+    in Cephes' igamc, so a Q that small comes out as 0.0.
+    """
+    if x == 0.0:
+        return 1.0
+    log_scale = a * math.log(x) - x - math.lgamma(a)
+    scale = math.exp(log_scale) if log_scale >= -_MAX_LOG else 0.0
+    eps, tiny = 1e-16, 1e-300
+    if x < a + 1.0:
+        ap, term = a, 1.0 / a
+        total = term
+        while abs(term) > abs(total) * eps:
+            ap += 1.0
+            term *= x / ap
+            total += term
+        return 1.0 - total * scale
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h, i = d, 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = tiny if abs(d) < tiny else d
+        c = b + an / c
+        c = tiny if abs(c) < tiny else c
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= eps:
+            return scale * h
+
+
 def _chi2_p(stat: float, df: int) -> float:
-    # imported here so that importing the package does not load scipy
-    from scipy.special import gammaincc
-    return float(gammaincc(df / 2.0, stat / 2.0))
+    """Upper tail of the chi-square distribution with df degrees."""
+    return _gamma_q(df / 2.0, stat / 2.0)
 
 
 def _check_pre(bins: int, n: int) -> None:

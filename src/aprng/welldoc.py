@@ -11,13 +11,12 @@ visible at a glance.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
+from .parallel import thread_map
 from .streams import WordStream
 from .words import _decode, _window_codes, as_word, word_to_text
 
@@ -188,16 +187,6 @@ def welldoc_check(q: WelldocQuery) -> WelldocReport:
     return cov.report(q.factor, occurrences_seen, taken)
 
 
-def _thread_count(explicit: int | None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("APRNG_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _factor_groups(u: np.ndarray, length: int, d: int):
     """(factor bytes, ascending occurrence indices) for every factor of the
     given length present in u."""
@@ -259,12 +248,7 @@ def welldoc_scan(stream: WordStream, m: int, max_factor_len: int,
         cov.update(pcodes[occ], occ)
         return factor, cov.report(factor, int(occ.size), n)
 
-    nthreads = _thread_count(threads)
-    if nthreads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
+    results = thread_map(run, jobs, threads)
     results.sort(key=lambda fr: (len(fr[0]), fr[0]))
     return dict(results)
 

@@ -8,7 +8,8 @@ from aprng.arnoux_rauzy import (ArnouxRauzyStream, BispecialChain, ar_stream,
                                 iterated_palindromic_closure, next_bispecial,
                                 palindromic_closure)
 from aprng.errors import DirectiveError
-from aprng.morphic import fibonacci_stream, tribonacci_stream
+from aprng.morphic import (Morphism, fibonacci_stream, fixed_point_stream,
+                           iterate_fixed_point, tribonacci_stream)
 from aprng.streams import CycleStream
 from aprng.words import as_word, parikh
 
@@ -118,6 +119,39 @@ def test_fork_keeps_check_horizon():
     s = ArnouxRauzyStream(directive, check_horizon=2000)
     f = s.fork()
     assert bytes(f.take(3000)) == bytes(s.take(3000))
+
+
+@pytest.mark.parametrize("rules,recurrent", [
+    ("0->01,1->0", {0, 1}),
+    ("0->01,1->1", {1}),                  # the word is 0111...
+    ("0->01,1->2,2->1", {1, 2}),          # alphabets cycle {1}, {2}
+    ("0->012,1->1,2->0", {0, 1, 2}),      # {1,2}, {0,1}, then {0,1,2}
+    ("0->02,1->0,2->1", {0, 1, 2}),
+    ("0->01,1->1,2->2", {1}),             # letter 2 never occurs
+    ("0->02,1->1,2->1", {1}),             # letter 2 occurs once: 02111...
+])
+def test_recurrent_letters_of_fixed_points(rules, recurrent):
+    phi = Morphism.from_text(rules)
+    assert phi.recurrent_letters(0) == recurrent
+    # the letters that recur are those still seen far into the prefix
+    u = iterate_fixed_point(phi, 0, 1000)
+    assert set(u[len(u) // 2:]) == recurrent
+
+
+@pytest.mark.parametrize("rules", ["0->01,1->1", "0->01,1->2,2->1"])
+def test_fixed_point_directive_missing_a_letter_is_rejected(rules):
+    directive = fixed_point_stream(Morphism.from_text(rules), 0)
+    with pytest.raises(DirectiveError, match="finitely often"):
+        ar_stream(directive)
+
+
+def test_fixed_point_directive_is_checked_exactly():
+    # letter 1 first appears at index 1002, past the horizon a heuristic
+    # check inspects, yet recurs: the directive is valid
+    directive = fixed_point_stream(Morphism(["0" * 1002 + "1", "0"]), 0)
+    s = ar_stream(directive)
+    assert bytes(s.take(2005)) == bytes([0] * 1002 + [1] + [0] * 1002)
+    assert set(bytes(ar_stream(fibonacci_stream()).take(100))) == {0, 1}
 
 
 def bispecial_chain(pattern: bytes, min_len: int) -> BispecialChain:

@@ -258,3 +258,42 @@ def test_import_does_not_load_scipy():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+    # p-values come from the package's own incomplete gamma function
+    code = ("import sys\n"
+            "from aprng.cli import main\n"
+            "for test in ('chi2', 'serial', 'gap'):\n"
+            "    assert main(['stats', 'randu', '--warmup', '0', '--test',\n"
+            "                 test, '--n', '6400', '--json']) == 0\n"
+            "sys.stderr.write(str('scipy' in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.count('"p_value"') == 3
+    assert out.stderr == "False"
+
+
+def test_lattice_rejects_bad_parameters(capsys, tmp_path):
+    # sample values up to 2^31 do not live in the cube of scale 1000
+    dump = tmp_path / "pts.csv"
+    for extra in ([], ["--normal", "9,-6,1"]):
+        rc, out, err = run(capsys, "lattice", "randu", "--warmup", "0",
+                           "--sample", "100", "--scale", "1000",
+                           "--dump", str(dump), *extra)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and "outside" in err
+        assert not dump.exists()
+    # (19^5 - 1) / 2 candidate normals exceed the search's cap
+    rc, out, err = run(capsys, "lattice", "randu", "--warmup", "0",
+                       "--sample", "100", "--t", "5", "--bound", "9")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "candidate normals" in err
+
+
+def test_periodic_ar_directive_is_rejected(capsys):
+    # 0->01,1->1 stops producing letter 0: the word would be 0101...
+    rc, out, err = run(capsys, "word", "ar:morphic:0->01,1->1:0",
+                       "--count", "60")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "finitely often" in err
+    rc, out, _ = run(capsys, "word", "ar:morphic:0->01,1->0:0", "--count", "8")
+    assert rc == 0 and out == "01001001\n"

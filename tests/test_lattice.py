@@ -3,11 +3,13 @@ import io
 import numpy as np
 import pytest
 
+from aprng import lattice
 from aprng.errors import ParameterError
 from aprng.lattice import (candidate_normals, consecutive_tuples, dump_points,
                            full_lattice_class_count, plane_count,
                            search_normals)
-from aprng.prng import named_lcg
+from aprng.morphic import fibonacci_stream
+from aprng.prng import Lcg, ShuffledPrng, named_lcg
 
 
 def test_consecutive_tuples_shapes_and_content():
@@ -157,6 +159,69 @@ def test_search_normals_validation():
         search_normals(pts, 100, bound=0)
     with pytest.raises(ParameterError):
         search_normals(pts, 1 << 62, bound=2)
+    # (19^5 - 1) / 2 candidates exceed the cap; refused before enumerating
+    with pytest.raises(ParameterError, match="candidate normals"):
+        search_normals(np.zeros((4, 5), dtype=np.int64), 100, bound=9)
+
+
+@pytest.mark.parametrize("bad", [-1, 100])
+def test_sample_outside_the_scale_is_rejected(bad):
+    # the full-cube comparison bounds only samples inside [0, scale)^t
+    pts = np.array([[0, 5], [99, bad], [7, 8]], dtype=np.int64)
+    with pytest.raises(ParameterError, match="outside"):
+        plane_count(pts, (1, 1), 100)
+    with pytest.raises(ParameterError, match="outside"):
+        search_normals(pts, 100, bound=2)
+    pts[1, 1] = 99
+    assert plane_count(pts, (1, 1), 100).plane_count == 2
+    assert len(search_normals(pts, 100, bound=2)) == 12
+
+
+SOURCES = {
+    "randu": (lambda: named_lcg("randu"), 2 ** 31),
+    "shuffle": (lambda: ShuffledPrng(fibonacci_stream(), [
+        named_lcg("l64_28"), named_lcg("l64_32")]), 2 ** 32),
+    # a scale that is not a power of two takes floor division, not a shift;
+    # a small one puts many tuples near the class boundaries
+    "minstd": (lambda: Lcg(2 ** 31 - 1, 16807, 0), 2 ** 31 - 1),
+    "scale1000": (lambda: np.random.default_rng(5).integers(0, 1000, 2000),
+                  1000),
+}
+
+
+def oracle_search(tuples, scale, bound):
+    reports = [plane_count(tuples, nv, scale)
+               for nv in candidate_normals(tuples.shape[1], bound)]
+    return sorted(reports, key=lambda r: (r.ratio, r.normal))
+
+
+@pytest.mark.parametrize("source", ["randu", "shuffle"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_pruned_search_matches_oracle_around_the_screen(source, offset):
+    make, scale = SOURCES[source]
+    tuples = consecutive_tuples(make(), lattice._SCREEN + offset + 2, 3)
+    want = oracle_search(tuples, scale, 8)
+    assert any(r.plane_count < r.comparison for r in want)
+    for threads in (1, 2):
+        assert search_normals(tuples, scale, bound=8, threads=threads) == want
+
+
+@pytest.mark.parametrize("source", ["randu", "minstd", "scale1000"])
+def test_pruned_search_matches_oracle_across_stages(source, monkeypatch):
+    # a short screen and slow growth give the stages 256, 512, 1024, 1500
+    monkeypatch.setattr(lattice, "_SCREEN", 256)
+    monkeypatch.setattr(lattice, "_GROWTH", 2)
+    make, scale = SOURCES[source]
+    tuples = consecutive_tuples(make(), 1502, 3)
+    want = oracle_search(tuples, scale, 10)
+    # some normal falls short on the screen but reaches the cap later
+    late = [r for r in want if r.plane_count == r.comparison
+            and plane_count(tuples[:256], r.normal, scale).plane_count
+            < r.comparison]
+    assert late
+    assert any(r.plane_count < r.comparison for r in want)
+    for threads in (1, 2):
+        assert search_normals(tuples, scale, bound=10, threads=threads) == want
 
 
 def test_dump_points_csv(tmp_path):

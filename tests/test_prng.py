@@ -79,7 +79,10 @@ PSEUDO_MERSENNE = {
 
 
 @pytest.mark.parametrize("name", sorted(PSEUDO_MERSENNE))
-@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, (1 << 20) + 3])
+# 65 and 66 values are the last call with a lane per value and the first
+# with fewer; from 262017 values on, a call runs the full 4096 lanes
+@pytest.mark.parametrize("n", [1, 65, 66, 4095, 4096, 4097, 262016, 262017,
+                               (1 << 20) + 3])
 def test_pseudo_mersenne_lanes_match_loop(name, n):
     g = PSEUDO_MERSENNE[name](12345)
     g.warm_up(10 ** 9)

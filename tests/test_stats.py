@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 from scipy.stats import distributions
 
 from aprng.errors import InsufficientDataError, ParameterError
 from aprng.prng import Lcg, named_lcg
 from aprng.stats import (ConstantSource, LowBitsSource, RandomSource,
                          ScaledSource, chi_square_equidist, gap_test,
-                         serial_pairs, _cell_widths)
+                         serial_pairs, _cell_widths, _chi2_p)
 
 
 class Trickle:
@@ -31,6 +32,28 @@ def test_cell_widths_partition_the_range():
         assert w.sum() == 1 << 32
         assert w.max() - w.min() <= 1
         assert w.size == bins
+
+
+@pytest.mark.parametrize("df", [1, 2, 18, 63, 4095, 16383])
+def test_chi2_tail_matches_scipy(df):
+    a = df / 2.0
+    for x in a * np.linspace(0.5, 2.0, 61):
+        want = float(gammaincc(a, x))
+        got = _chi2_p(2.0 * x, df)
+        if want == 0.0:                 # underflow, e.g. x = 2a at df 16383
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(want, rel=1e-10, abs=0)
+    assert _chi2_p(0.0, df) == 1.0 == gammaincc(a, 0.0)
+
+
+def test_chi2_tail_underflows_to_zero():
+    # the serial statistic of a stream's lowest state bit (stats_lowbits)
+    assert float(gammaincc(4095 / 2, 8.19e9 / 2)) == 0.0
+    assert _chi2_p(8.19e9, 4095) == 0.0
+    # x^a e^-x / Gamma(a) here is about 1e-316: a subnormal, flushed to zero
+    assert float(gammaincc(4095 / 2, 8558.55 / 2)) == 0.0
+    assert _chi2_p(8558.55, 4095) == 0.0
 
 
 def test_chi_square_calibrates_on_reference_source():
