@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .errors import SpecParseError
 from .lattice import (consecutive_tuples, dump_points, plane_count,
@@ -136,7 +135,7 @@ def _cmd_gen(args) -> int:
 def _cmd_welldoc(args) -> int:
     stream = build_word(parse_word_spec(args.spec))
     reports = welldoc_scan(stream, args.m, args.factor_len,
-                           max_prefix=args.prefix, threads=args.threads)
+                           max_prefix=args.prefix)
     factors = {word_to_text(k): v.as_dict() for k, v in reports.items()}
     verdict = ("COVERED" if all(v.verdict == "COVERED"
                                 for v in reports.values())
@@ -206,33 +205,6 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    stream = build_word(parse_word_spec(args.spec), block_cap=args.block_cap)
-    remaining = args.letters
-    t0 = time.perf_counter()
-    while remaining > 0:
-        take = min(1 << 22, remaining)
-        stream.take(take)
-        remaining -= take
-    elapsed = time.perf_counter() - t0
-    result = {
-        "word": args.spec,
-        "letters": args.letters,
-        "seconds": elapsed,
-        "letters_per_second": args.letters / elapsed if elapsed else None,
-        "max_stack_depth": getattr(stream, "max_stack_depth", None),
-    }
-    if args.json:
-        _print_json(result)
-    else:
-        rate = result["letters_per_second"]
-        depth = result["max_stack_depth"]
-        print(f"{args.letters} letters in {elapsed:.3f} s "
-              f"({rate:.0f} letters/s), peak stack depth "
-              f"{depth if depth is not None else 'n/a'}")
-    return 0
-
-
 def _add_gen_arguments(sub, shuffle: bool) -> None:
     if shuffle:
         sub.add_argument("word", help="steering word descriptor")
@@ -284,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="largest factor length to scan")
     wd.add_argument("--prefix", type=_num, default=10 ** 7,
                     help="prefix length budget")
-    wd.add_argument("--threads", type=_num, default=None,
-                    help="worker threads (default APRNG_THREADS or 1)")
     wd.set_defaults(func=_cmd_welldoc)
 
     la = sp.add_parser("lattice", help="hyperplane structure of output tuples")
@@ -319,15 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="test only the lowest K state bits")
     st.add_argument("--json", action="store_true", help="JSON output")
     st.set_defaults(func=_cmd_stats, word=None)
-
-    b = sp.add_parser("bench", help="generation throughput")
-    b.add_argument("spec", help="word descriptor")
-    b.add_argument("--letters", type=_num, default=10 ** 8,
-                   help="letters to generate")
-    b.add_argument("--block-cap", type=_num, default=None,
-                   help="morphic expansion block size limit")
-    b.add_argument("--json", action="store_true", help="JSON output")
-    b.set_defaults(func=_cmd_bench)
 
     return p
 

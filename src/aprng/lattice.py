@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .parallel import thread_count, thread_map
+from .prng import _value_chunks
 
 # The pruned search counts every normal on the first _SCREEN tuples, then
 # recounts the normals still short of the full-cube count on prefixes
@@ -64,14 +65,8 @@ def consecutive_tuples(source, n: int, t: int) -> np.ndarray:
         raise ParameterError("t must be >= 1")
     if n < t:
         raise ParameterError("need at least t outputs")
-    if isinstance(source, np.ndarray):
-        arr = source[:n]
-        if arr.size < n:
-            raise ParameterError(f"array holds {source.size} values, need {n}")
-    else:
-        arr = source.outputs(n)
-    win = np.lib.stride_tricks.sliding_window_view(arr.astype(np.int64), t)
-    return win
+    arr, = _value_chunks(source, n, n)
+    return np.lib.stride_tricks.sliding_window_view(arr.astype(np.int64), t)
 
 
 def full_lattice_class_count(normal, scale: int) -> int:

@@ -1,4 +1,4 @@
-"""Worker threads for the analyses.
+"""Worker threads for the lattice search.
 
 The thread count comes from an explicit argument, else the APRNG_THREADS
 environment variable, else 1.  Work is split so that results never depend

@@ -310,7 +310,8 @@ def right_special_witness(source, length: int, a_value: int, b_value: int,
         raise ParameterError("tuple length must be >= 1")
     if a_value == b_value:
         raise ParameterError("the two follower values must differ")
-    arr = _collect(source, budget)
+    arr, = _value_chunks(source, budget, budget)
+    arr = arr.astype(np.uint32, copy=False)
     if arr.size < length + 1:
         return RightSpecialWitness(UNDETERMINED, None, None, None, arr.size)
     win = np.lib.stride_tricks.sliding_window_view(arr, length)
@@ -354,14 +355,22 @@ def lcg_state_period(m: int, a: int, c: int, seed: int,
     return period
 
 
-def _collect(source, n: int) -> np.ndarray:
-    """n uint32 values from an ndarray or anything with .outputs(n)."""
-    if isinstance(source, np.ndarray):
-        if source.size < n:
-            raise ParameterError(
-                f"array source holds {source.size} values, need {n}")
-        return source[:n].astype(np.uint32, copy=False)
-    return source.outputs(n)
+def _value_chunks(source, n: int, size: int):
+    """The first n values of an ndarray, or of anything with .outputs(k),
+    in pieces of at most size values (a source may return fewer); n = 0
+    gives one empty piece."""
+    array = isinstance(source, np.ndarray)
+    if array and source.size < n:
+        raise ParameterError(
+            f"array source holds {source.size} values, need {n}")
+    off = 0
+    while True:
+        k = min(size, n - off)
+        piece = source[off:off + k] if array else source.outputs(k)
+        yield piece
+        off += piece.size
+        if off >= n:
+            return
 
 
 def stream_export(source, n: int, sink) -> int:
@@ -378,22 +387,10 @@ def stream_export(source, n: int, sink) -> int:
         own = True
     try:
         written = 0
-        if isinstance(source, np.ndarray):
-            if source.size < n:
-                raise ParameterError(
-                    f"array source holds {source.size} values, need {n}")
-            for off in range(0, n, _CHUNK):
-                data = source[off:min(off + _CHUNK, n)].astype("<u4").tobytes()
-                sink.write(data)
-                written += len(data)
-        else:
-            left = n
-            while left > 0:
-                chunk = source.outputs(min(_CHUNK, left))
-                data = chunk.astype("<u4").tobytes()
-                sink.write(data)
-                written += len(data)
-                left -= chunk.size
+        for chunk in _value_chunks(source, n, _CHUNK):
+            data = chunk.astype("<u4").tobytes()
+            sink.write(data)
+            written += len(data)
         sink.flush()
         return written
     finally:

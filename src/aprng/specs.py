@@ -343,16 +343,7 @@ def _parse_word(cur: _Cursor) -> WordSpec:
     if head == "fib2":
         return FIB2_SPEC
     if head == "morphism":
-        cur.eat(":", "then rules like 0->01,1->0")
-        rule_pos = cur.pos
-        rules = cur.segment(":")
-        try:
-            phi = Morphism(parse_morphism_rules(rules))
-        except SpecParseError as e:
-            raise SpecParseError(e.message, cur.text,
-                                 rule_pos + (e.pos or 0)) from None
-        except ValueError as e:
-            raise SpecParseError(str(e), cur.text, rule_pos) from None
+        phi = _parse_rules(cur)
         seed = _optional_int_segment(cur)
         return MorphicSpec(phi, 0 if seed is None else seed)
     if head == "ar":
@@ -367,16 +358,7 @@ def _parse_word(cur: _Cursor) -> WordSpec:
                 cur.error(f"directive pattern must be digits, got {digits!r}")
             return ArCycleSpec(bytes(int(ch) for ch in digits))
         if kind == "morphic":
-            cur.eat(":", "then rules like 0->01,1->0")
-            rule_pos = cur.pos
-            rules = cur.segment(":")
-            try:
-                phi = Morphism(parse_morphism_rules(rules))
-            except SpecParseError as e:
-                raise SpecParseError(e.message, cur.text,
-                                     rule_pos + (e.pos or 0)) from None
-            except ValueError as e:
-                raise SpecParseError(str(e), cur.text, rule_pos) from None
+            phi = _parse_rules(cur)
             cur.eat(":", "then the directive seed letter")
             seed_pos = cur.pos
             seed = cur.segment(":,")
@@ -415,6 +397,21 @@ def _parse_word(cur: _Cursor) -> WordSpec:
         return InterleaveSpec(int(letter), _parse_word(cur))
     cur.pos = start
     cur.error(f"unknown word form {head!r}; expected one of {_WORD_HEADS}")
+
+
+def _parse_rules(cur: _Cursor) -> Morphism:
+    """':' then morphism rules up to the next ':', with errors placed in
+    the whole descriptor."""
+    cur.eat(":", "then rules like 0->01,1->0")
+    rule_pos = cur.pos
+    rules = cur.segment(":")
+    try:
+        return Morphism(parse_morphism_rules(rules))
+    except SpecParseError as e:
+        raise SpecParseError(e.message, cur.text,
+                             rule_pos + (e.pos or 0)) from None
+    except ValueError as e:
+        raise SpecParseError(str(e), cur.text, rule_pos) from None
 
 
 def _optional_int_segment(cur: _Cursor) -> int | None:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
+from .prng import _value_chunks
 
 _CHUNK = 1 << 22
 _GAP_CAP = 1 << 12
@@ -37,21 +38,6 @@ class StatsReport:
     def as_dict(self) -> dict:
         return {"name": self.name, "statistic": self.statistic, "df": self.df,
                 "p_value": self.p_value, "n": self.n, "details": self.details}
-
-
-def _iter_chunks(source, n: int):
-    if isinstance(source, np.ndarray):
-        if source.size < n:
-            raise ParameterError(
-                f"array source holds {source.size} values, need {n}")
-        for off in range(0, n, _CHUNK):
-            yield source[off:min(off + _CHUNK, n)]
-        return
-    left = n
-    while left > 0:
-        chunk = source.outputs(min(_CHUNK, left))
-        left -= chunk.size
-        yield chunk
 
 
 def _cells(values: np.ndarray, bins: int) -> np.ndarray:
@@ -121,7 +107,7 @@ def chi_square_equidist(source, bins: int, n: int) -> StatsReport:
     """Counts per cell against the exact uniform expectation."""
     _check_pre(bins, n)
     counts = np.zeros(bins, dtype=np.int64)
-    for chunk in _iter_chunks(source, n):
+    for chunk in _value_chunks(source, n, _CHUNK):
         counts += np.bincount(_cells(chunk, bins), minlength=bins)
     expected = _cell_widths(bins) * (n / 2.0 ** 32)
     stat = float(((counts - expected) ** 2 / expected).sum())
@@ -139,7 +125,7 @@ def serial_pairs(source, bins: int, n: int) -> StatsReport:
         raise InsufficientDataError("need at least one pair")
     counts = np.zeros(bins * bins, dtype=np.int64)
     leftover = None
-    for chunk in _iter_chunks(source, 2 * npairs):
+    for chunk in _value_chunks(source, 2 * npairs, _CHUNK):
         if leftover is not None:
             chunk = np.concatenate(([leftover], chunk))
             leftover = None
@@ -173,7 +159,7 @@ def gap_test(source, interval: tuple[float, float], n: int) -> StatsReport:
 
     hist = np.zeros(_GAP_CAP + 1, dtype=np.int64)
     carry = -1          # misses since the last hit; -1 before the first hit
-    for chunk in _iter_chunks(source, n):
+    for chunk in _value_chunks(source, n, _CHUNK):
         hit = (chunk >= lo_i) & (chunk < hi_i)
         idx = np.nonzero(hit)[0]
         if idx.size == 0:

@@ -8,23 +8,29 @@ coverage, while a miss within a finite prefix proves nothing, so the verdict
 is COVERED or UNDETERMINED, never a refutation.  UNDETERMINED reports carry
 the missing vectors so structural gaps (parity locking and the like) are
 visible at a glance.
+
+``welldoc_check`` and ``welldoc_scan`` share one pass over the prefix,
+``_CHUNK`` letters at a time.  A window of length j + 1 gets its factor id
+from the id of its first j letters and its last letter, through a per-length
+table, so factors are told apart without sorting, at any length.  Each
+(factor, residue vector) cell counts its hits and keeps the first two.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .errors import ParameterError
-from .parallel import thread_map
 from .streams import WordStream
-from .words import _decode, _window_codes, as_word, word_to_text
+from .words import as_word, word_to_text
 
 COVERED = "COVERED"
 UNDETERMINED = "UNDETERMINED"
 
-# hard cap on m^d: reports enumerate the complement explicitly, and the
-# coverage bitset is dense
+# hard cap on m^d: reports enumerate the complement explicitly, and each
+# factor keeps a dense row of m^d cells
 _MAX_RESIDUE_SPACE = 1 << 16
 
 _CHUNK = 1 << 20
@@ -88,135 +94,146 @@ class WelldocReport:
         }
 
 
-class _Coverage:
-    """Dense bitset over Z_m^d codes plus two witness indices per vector."""
+class _Level:
+    """Factors of one length, with ids in order of discovery.  ``child`` maps
+    key = (id of the factor less its last letter) * d + last letter to an
+    id, -1 for a pair not seen yet; ``keys`` lists the key of each id.  Each
+    (id, residue code) cell keeps its hit count and first two hits."""
 
-    def __init__(self, m: int, d: int):
-        self.m = m
-        self.d = d
-        self.size = _residue_space(m, d)
-        self.seen = np.zeros(self.size, dtype=bool)
-        self.witnesses: dict[int, list[int]] = {}
-        self.full = False
+    def __init__(self, size: int):
+        self.child = np.empty(0, dtype=np.int64)
+        self.keys: list[int] = []
+        self.hits = np.empty((0, size), dtype=np.int64)
+        self.wit = np.empty((0, size, 2), dtype=np.int64)
 
-    def update(self, codes: np.ndarray, indices: np.ndarray) -> bool:
-        """Returns True once the scan may stop: full coverage with two
-        witnesses per vector, so doubled-budget runs still see everything."""
-        uniq, first = np.unique(codes, return_index=True)
-        rest = np.ones(codes.size, dtype=bool)
-        rest[first] = False
-        rest_pos = np.nonzero(rest)[0]
-        uniq2, second = np.unique(codes[rest_pos], return_index=True)
-        second_at = dict(zip(uniq2.tolist(), rest_pos[second].tolist()))
-        for code, fi in zip(uniq.tolist(), first.tolist()):
-            lst = self.witnesses.setdefault(code, [])
-            if len(lst) < 2:
-                lst.append(int(indices[fi]))
-            if len(lst) < 2 and code in second_at:
-                lst.append(int(indices[second_at[code]]))
-        self.seen[uniq] = True
-        self.full = bool(self.seen.sum() == self.size)
-        return self.full and all(len(w) == 2 for w in self.witnesses.values())
+    def ids(self, key: np.ndarray, nkeys: int) -> np.ndarray:
+        if self.child.size < nkeys:
+            self.child = np.concatenate(
+                (self.child, np.full(nkeys - self.child.size, -1)))
+        ids = self.child[key]
+        if ids.min() < 0:
+            fresh = np.nonzero((np.bincount(key, minlength=nkeys) > 0)
+                               & (self.child < 0))[0]
+            self.child[fresh] = len(self.keys) + np.arange(fresh.size)
+            self.keys.extend(fresh.tolist())
+            self.hits = np.pad(self.hits, ((0, fresh.size), (0, 0)))
+            self.wit = np.pad(self.wit, ((0, fresh.size), (0, 0), (0, 0)))
+            ids = self.child[key]
+        return ids
 
-    def report(self, factor: bytes, occurrences_seen: int,
-               prefix_scanned: int) -> WelldocReport:
-        m, d = self.m, self.d
-        covered = tuple(_vec(c, m, d) for c in np.nonzero(self.seen)[0].tolist())
-        missing = tuple(_vec(c, m, d) for c in np.nonzero(~self.seen)[0].tolist())
-        return WelldocReport(
-            factor=factor, modulus=m, alphabet_size=d,
-            verdict=COVERED if self.full else UNDETERMINED,
-            covered=covered, missing=missing,
-            occurrences_seen=occurrences_seen, prefix_scanned=prefix_scanned,
-            witnesses={_vec(c, m, d): tuple(w)
-                       for c, w in sorted(self.witnesses.items())})
+    def count(self, cells: np.ndarray, g0: int) -> None:
+        """Hits of the windows from g0 on, at cell id * m^d + residue."""
+        hits, wit = self.hits.reshape(-1), self.wit.reshape(-1, 2)
+        h = np.bincount(cells, minlength=hits.size)
+        lack = np.nonzero((h > 0) & (hits < 2))[0]
+        old = hits[lack]
+        hits += h
+        if lack.size:
+            # the chunk's first two hits in the cells short of two witnesses,
+            # sought in the shortest prefix of 4096 * 16^k windows with them
+            need = np.minimum(h[lack], 2 - old)
+            n = 1 << 12
+            while n < cells.size and (np.bincount(
+                    cells[:n], minlength=h.size)[lack] < need).any():
+                n <<= 4
+            cells = cells[:n]
+            at = np.full((2, h.size), n)
+            pos = np.arange(cells.size)
+            np.minimum.at(at[0], cells, pos)
+            pos = pos[at[0, cells] != pos]
+            np.minimum.at(at[1], cells[pos], pos)
+            for k in (0, 1):
+                ok = (old + k < 2) & (at[k, lack] < n)
+                wit[lack[ok], old[ok] + k] = g0 + at[k, lack[ok]]
 
 
-def _vec(code: int, m: int, d: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(d):
-        out.append(code % m)
-        code //= m
-    return tuple(out)
+def _scan(stream: WordStream, m: int, min_len: int, max_len: int,
+          budget: int, done=None) -> tuple[list[_Level], int]:
+    """The pass: the levels of lengths 1..max_len, and the letters read.
+    A window is counted at its start, in the chunk where the max_len window
+    from there ends, or in the final chunk.  Lengths below min_len only pass
+    ids on.  The pass stops after a chunk where ``done(levels)`` holds."""
+    d = stream.alphabet_size
+    size = _residue_space(m, d)
+    levels = [_Level(size) for _ in range(max_len)]
+    s = stream.fork()
+    carry = np.zeros(d, dtype=np.int64)       # letter counts before work[0]
+    tail = np.empty(0, dtype=np.uint8)
+    g0 = taken = 0                            # g0: global index of work[0]
+    while taken < budget:
+        fresh = s.take(min(_CHUNK, budget - taken))
+        taken += fresh.size
+        work = np.concatenate((tail, fresh))
+        starts = max(0, work.size - (max_len - 1 if taken < budget else 0))
+        if starts:
+            # residue code before each start; < m^d <= 2^16 fits int32
+            res = np.full(starts, 0, dtype=np.int32)
+            cum = np.empty(starts, dtype=np.int32)
+            for a, c in enumerate(carry.tolist()):
+                cum[0] = 0
+                np.cumsum(work[:starts - 1] == a, out=cum[1:])
+                cum += c
+                cum %= m
+                res += cum * m ** a
+            ids = np.full(starts, 0)              # the empty word
+            nkeys = d
+            for j, lv in enumerate(levels, 1):
+                key = ids[:min(starts, work.size - j + 1)] * d
+                key += work[j - 1:j - 1 + key.size]
+                ids = lv.ids(key, nkeys)
+                nkeys = len(lv.keys) * d
+                if j >= min_len:
+                    np.multiply(ids, size, out=key)
+                    key += res[:key.size]
+                    lv.count(key, g0)
+        carry = (carry + np.bincount(work[:starts], minlength=d)) % m
+        g0 += starts
+        tail = work[starts:]
+        if done is not None and done(levels):
+            break
+    return levels, taken
+
+
+def _report(factor: bytes, m: int, d: int, hits: np.ndarray, wit,
+            prefix_scanned: int) -> WelldocReport:
+    vecs = [v[::-1] for v in product(range(m), repeat=d)]    # by code
+    seen = hits > 0
+    codes = np.nonzero(seen)[0].tolist()
+    return WelldocReport(
+        factor=factor, modulus=m, alphabet_size=d,
+        verdict=COVERED if seen.all() else UNDETERMINED,
+        covered=tuple(vecs[c] for c in codes),
+        missing=tuple(vecs[c] for c in np.nonzero(~seen)[0].tolist()),
+        occurrences_seen=int(hits.sum()), prefix_scanned=prefix_scanned,
+        witnesses={vecs[c]: tuple(wit[c, :min(int(hits[c]), 2)].tolist())
+                   for c in codes})
 
 
 def welldoc_check(q: WelldocQuery) -> WelldocReport:
     """Scan the stream prefix, recording the residue vector before each
-    occurrence of the factor; stops as soon as every vector is seen."""
-    d = q.stream.alphabet_size
-    m = q.modulus
-    w = np.frombuffer(q.factor, dtype=np.uint8)
-    L = w.size
-    weights = (m ** np.arange(d)).astype(np.int64)
+    occurrence of the factor; stops after the chunk in which every vector
+    has two witnesses."""
+    d, m, L = q.stream.alphabet_size, q.modulus, len(q.factor)
 
-    s = q.stream.fork()
-    s.seek(0)
-    cov = _Coverage(m, d)
-    carry = np.zeros(d, dtype=np.int64)      # letter counts before the window
-    tail = np.empty(0, dtype=np.uint8)
-    g0 = 0                                   # global index of work[0]
-    taken = 0
-    occurrences_seen = 0
+    def row(levels):
+        i = 0
+        for lv, a in zip(levels, q.factor):
+            if i * d + a >= lv.child.size or lv.child[i * d + a] < 0:
+                return np.zeros(m ** d, np.int64), None
+            i = int(lv.child[i * d + a])
+        return levels[-1].hits[i], levels[-1].wit[i]
 
-    while taken < q.max_prefix:
-        fresh = s.take(min(_CHUNK, q.max_prefix - taken))
-        taken += fresh.size
-        work = np.concatenate((tail, fresh)) if tail.size else fresh
-        nwin = work.size - L + 1
-        if nwin > 0:
-            mask = work[:nwin] == w[0]
-            for j in range(1, L):
-                mask &= work[j:j + nwin] == w[j]
-            occ = np.nonzero(mask)[0]
-            if occ.size:
-                occurrences_seen += occ.size
-                code = np.zeros(occ.size, dtype=np.int64)
-                for a in range(d):
-                    cum = np.concatenate(
-                        ([0], np.cumsum(work == a, dtype=np.int64)))
-                    code += ((carry[a] + cum[occ]) % m) * weights[a]
-                if cov.update(code, occ + g0):
-                    break
-        keep = min(L - 1, work.size)
-        leaving = work[:work.size - keep]
-        carry += np.bincount(leaving, minlength=d)
-        g0 += leaving.size
-        tail = work[work.size - keep:]
-        if fresh.size == 0:
-            break
-    return cov.report(q.factor, occurrences_seen, taken)
-
-
-def _factor_groups(u: np.ndarray, length: int, d: int):
-    """(factor bytes, ascending occurrence indices) for every factor of the
-    given length present in u."""
-    if u.size < length:
-        return
-    wc = _window_codes(u, length, d)
-    if wc is None:
-        # windows too long for integer codes; group via raw byte rows
-        win = np.lib.stride_tricks.sliding_window_view(u, length)
-        rows = np.ascontiguousarray(win).view(
-            np.dtype((np.void, length))).ravel()
-        uniq, inverse = np.unique(rows, return_inverse=True)
-        for k in range(uniq.size):
-            occ = np.nonzero(inverse == k)[0]
-            yield uniq[k].tobytes(), occ
-        return
-    order = np.argsort(wc, kind="stable")
-    sc = wc[order]
-    bounds = np.nonzero(np.diff(sc))[0] + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [sc.size]))
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        yield _decode(int(sc[s]), length, d), order[s:e]
+    levels, taken = _scan(q.stream, m, L, L, q.max_prefix,
+                          lambda levels: row(levels)[0].min() >= 2)
+    return _report(q.factor, m, d, *row(levels), taken)
 
 
 def welldoc_scan(stream: WordStream, m: int, max_factor_len: int,
                  max_prefix: int = 10 ** 7,
                  threads: int | None = None) -> dict[bytes, WelldocReport]:
-    """Coverage reports for every factor of length <= max_factor_len found in
-    the stream's prefix, sharing one materialized pass."""
+    """Coverage reports for every factor of length <= max_factor_len in the
+    prefix, which is read whole since a factor may first occur late.
+    ``threads`` has no effect; it is kept for callers that pass it."""
     if m < 2:
         raise ParameterError("modulus must be >= 2")
     if max_factor_len < 1:
@@ -224,33 +241,14 @@ def welldoc_scan(stream: WordStream, m: int, max_factor_len: int,
     if max_prefix <= max_factor_len:
         raise ParameterError("prefix budget must exceed the factor length")
     d = stream.alphabet_size
-    _residue_space(m, d)
-    buf = stream.prefix(max_prefix)
-    u = buf.letters
-    n = u.size
-
-    # residue code of the length-i prefix, for every i at once
-    pcodes = np.zeros(n + 1, dtype=np.int64)
-    weight = 1
-    for a in range(d):
-        cum = np.cumsum(u == a, dtype=np.int64)
-        cum %= m
-        pcodes[1:] += cum * weight
-        weight *= m
-
-    jobs = []
-    for length in range(1, max_factor_len + 1):
-        jobs.extend(_factor_groups(u, length, d))
-
-    def run(job):
-        factor, occ = job
-        cov = _Coverage(m, d)
-        cov.update(pcodes[occ], occ)
-        return factor, cov.report(factor, int(occ.size), n)
-
-    results = thread_map(run, jobs, threads)
-    results.sort(key=lambda fr: (len(fr[0]), fr[0]))
-    return dict(results)
+    levels, taken = _scan(stream, m, 1, max_factor_len, max_prefix)
+    out = {}
+    names = [b""]
+    for lv in levels:
+        names = [names[k // d] + bytes((k % d,)) for k in lv.keys]
+        for name, i in sorted(zip(names, range(len(names)))):
+            out[name] = _report(name, m, d, lv.hits[i], lv.wit[i], taken)
+    return out
 
 
 @dataclass(frozen=True)

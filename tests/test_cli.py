@@ -196,16 +196,6 @@ def test_stats_gap_text_output(capsys):
     assert " p " in out
 
 
-def test_bench_json(capsys):
-    rc, out, _ = run(capsys, "bench", "fib", "--letters", "1e5", "--json")
-    assert rc == 0
-    d = json.loads(out)
-    assert d["word"] == "fib" and d["letters"] == 10 ** 5
-    assert d["seconds"] > 0
-    assert d["letters_per_second"] > 0
-    assert isinstance(d["max_stack_depth"], int) and d["max_stack_depth"] >= 1
-
-
 def test_error_exit_codes(capsys):
     rc, out, err = run(capsys, "word", "nope")
     assert rc == 2 and out == ""

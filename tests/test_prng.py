@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aprng.errors import AlphabetError, ParameterError
+from aprng.lattice import consecutive_tuples
 from aprng.morphic import fibonacci_stream
 from aprng.prng import (FOUND, NAMED_LCGS, UNDETERMINED, Lcg, ShuffledPrng,
                         lcg_state_period, named_lcg, right_special_witness,
                         stream_export)
 from aprng.specs import parse_gen_spec
+from aprng.stats import chi_square_equidist, gap_test, serial_pairs
 
 RANDU_FIRST = [65539, 393225, 1769499, 7077969]
 
@@ -259,6 +261,35 @@ def test_stream_export_array_source():
         stream_export(arr, 11, io.BytesIO())
     with pytest.raises(ParameterError):
         stream_export(arr, -1, io.BytesIO())
+
+
+def _exported(source, n):
+    sink = io.BytesIO()
+    stream_export(source, n, sink)
+    return sink.getvalue()
+
+
+def _witness(source, n):
+    w = right_special_witness(source, 1, 65539, 393225, budget=n)
+    return (w.verdict, w.tuple_prefix, w.position_a, w.position_b, w.scanned)
+
+
+@pytest.mark.parametrize("entry", [
+    _exported,
+    _witness,
+    lambda source, n: consecutive_tuples(source, n, 3).tolist(),
+    lambda source, n: chi_square_equidist(source, 4, n).as_dict(),
+    lambda source, n: serial_pairs(source, 4, n).as_dict(),
+    lambda source, n: gap_test(source, (0.25, 0.75), n).as_dict(),
+], ids=["stream_export", "right_special_witness", "consecutive_tuples",
+        "chi_square_equidist", "serial_pairs", "gap_test"])
+def test_array_and_generator_sources_agree(entry):
+    n = 5000
+    values = named_lcg("randu").outputs(n)
+    assert entry(values, n) == entry(named_lcg("randu"), n)
+    with pytest.raises(ParameterError,
+                       match=f"array source holds {n - 1} values, need {n}"):
+        entry(values[:n - 1], n)
 
 
 def test_right_special_witness_found():

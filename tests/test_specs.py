@@ -219,6 +219,31 @@ def test_word_parse_diagnostics(text, fragment):
     assert "(at char" in str(exc.value)
 
 
+@pytest.mark.parametrize("rules", ["0->01,1-0", "0->01", "0->01,1->", "x"])
+def test_rule_errors_point_into_both_morphic_forms(rules):
+    # an error in the rules alone, placed at the rules' offset in the
+    # descriptor
+    with pytest.raises(ValueError) as alone:
+        Morphism(parse_morphism_rules(rules))
+    message = getattr(alone.value, "message", str(alone.value))
+    offset = getattr(alone.value, "pos", None) or 0
+    for head, tail in (("morphism:", ""), ("ar:morphic:", ":0")):
+        with pytest.raises(SpecParseError) as exc:
+            parse_word_spec(head + rules + tail)
+        assert (exc.value.message, exc.value.pos) == (message,
+                                                      len(head) + offset)
+
+
+def test_same_rules_share_one_expansion():
+    # Morphism compares and hashes by its images, so the expansion memo
+    # serves every parse of the same rules
+    a = build_word("morphism:0->01,1->10")
+    b = build_word("morphism:0->01,1->10")
+    c = build_word("morphism:0->01,1->20,2->1")
+    assert a._x is b._x
+    assert c._x is not a._x
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("mystery", "unknown generator"),
     ("randu:junk", "trailing"),
