@@ -3,8 +3,7 @@
 One process, one command.  Letters print as ASCII digits by default
 (``--raw`` switches to one byte per letter), generator streams are raw
 little-endian 32-bit words, analysis results are JSON.  Identical
-invocations produce byte-identical output; thread count comes from the
-APRNG_THREADS environment variable and never changes results.
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -168,8 +167,7 @@ def _cmd_lattice(args) -> int:
         result["reports"] = [report.as_dict()]
     else:
         result["bound"] = args.bound
-        reports = search_normals(tuples, scale, args.bound,
-                                 threads=args.threads)
+        reports = search_normals(tuples, scale, args.bound)
         result["best"] = reports[0].as_dict()
         result["reports"] = [r.as_dict() for r in reports[:_REPORT_CAP]]
     # after the analysis, which rejects a sample outside the scale's cube
@@ -272,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     la.add_argument("--dump", default=None, metavar="FILE",
                     help="also write the sample as normalized CSV points")
     la.add_argument("--threads", type=_num, default=None,
-                    help="worker threads (default APRNG_THREADS or 1)")
+                    help="accepted for old callers; has no effect")
     la.add_argument("--json", action="store_true", help="JSON output")
     la.set_defaults(func=_cmd_lattice, word=None)
 

@@ -16,14 +16,12 @@ and only the normals still short of it are recounted on longer prefixes.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import ParameterError
-from .parallel import thread_count, thread_map
 from .prng import _value_chunks
 
 # The pruned search counts every normal on the first _SCREEN tuples, then
@@ -156,7 +154,8 @@ def _check_inside(pts: np.ndarray, scale: int) -> None:
 def search_normals(tuples: np.ndarray, scale: int, bound: int = 10,
                    threads: int | None = None) -> list[LatticeReport]:
     """plane_count for every candidate normal, most lattice-like first
-    (ascending ratio of sample classes to full-cube classes)."""
+    (ascending ratio of sample classes to full-cube classes).
+    ``threads`` has no effect; it is kept for callers that pass it."""
     pts = np.asarray(tuples)
     if pts.ndim != 2:
         raise ParameterError("tuples must be a 2-d array")
@@ -179,20 +178,18 @@ def search_normals(tuples: np.ndarray, scale: int, bound: int = 10,
             for nv in normals]
     # floor division by a power-of-two scale is an arithmetic shift
     shift = scale.bit_length() - 1 if scale & (scale - 1) == 0 else None
-    per_thread = threading.local()
-
-    def count(job):
-        # Two sample-sized buffers per thread, reused for every normal: fresh
-        # temporaries per normal make the allocator map and unmap them each
-        # time, and the page faults cost as much as the arithmetic.
-        if not hasattr(per_thread, "bufs"):
-            per_thread.bufs = (np.empty_like(cols[0]), np.empty_like(cols[0]))
-        idx, n = job
-        dots, work = (b[:n] for b in per_thread.bufs)
+    # Two sample-sized buffers, reused for every normal: fresh temporaries
+    # per normal make the allocator map and unmap them each time, and the
+    # page faults cost as much as the arithmetic.
+    bufs = (np.empty_like(cols[0]), np.empty_like(cols[0]))
+    plane = [0] * len(normals)
+    short = list(range(len(normals)))
+    n = min(_SCREEN, size)
+    while short:
+        dots, work = (b[:n] for b in bufs)
         part = [c[:n] for c in cols]
-        counts = []
         prev = None
-        for i in idx:
+        for i in short:
             nv = normals[i]
             if prev is not None and nv[:-1] == prev[:-1] and nv[-1] == prev[-1] + 1:
                 dots += part[-1]
@@ -208,20 +205,7 @@ def search_normals(tuples: np.ndarray, scale: int, bound: int = 10,
             else:
                 np.right_shift(dots, shift, out=work)
             work -= lows[i]
-            counts.append(int(np.count_nonzero(np.bincount(work))))
-        return counts
-
-    plane = [0] * len(normals)
-    short = list(range(len(normals)))
-    n = min(_SCREEN, size)
-    # contiguous runs keep neighbouring normals together for the step
-    pieces = 4 * thread_count(threads)
-    while short:
-        step = -(-len(short) // pieces)
-        jobs = [(short[k:k + step], n) for k in range(0, len(short), step)]
-        for (idx, _), counts in zip(jobs, thread_map(count, jobs, threads)):
-            for i, c in zip(idx, counts):
-                plane[i] = c
+            plane[i] = int(np.count_nonzero(np.bincount(work)))
         if n == size:
             break
         short = [i for i in short if plane[i] < caps[i]]

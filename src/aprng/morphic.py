@@ -358,22 +358,6 @@ class FixedPointStream(WordStream):
             filled += step
         return out
 
-    def skip(self, n: int) -> None:
-        """Advance without copying letters out (still walks every block)."""
-        left = n
-        leaf = self._leaf
-        while left > 0:
-            view, off = leaf
-            avail = view.size - off
-            if avail == 0:
-                self._advance_leaf()
-                leaf = self._leaf
-                continue
-            step = avail if avail < left else left
-            leaf[1] = off + step
-            left -= step
-        self._pos += n
-
     def prefix_parikh(self, n: int) -> tuple[int, ...]:
         """Exact letter counts of the first n letters, from the descent tables."""
         if n < 0:

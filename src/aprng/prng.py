@@ -367,6 +367,8 @@ def _value_chunks(source, n: int, size: int):
     while True:
         k = min(size, n - off)
         piece = source[off:off + k] if array else source.outputs(k)
+        if piece.size == 0 and k:
+            raise ParameterError(f"source gave no values with {n - off} owed")
         yield piece
         off += piece.size
         if off >= n:

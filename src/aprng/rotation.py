@@ -260,6 +260,10 @@ class RotationStream(WordStream):
         pass  # position alone determines the phase
 
     def _produce(self, n: int) -> np.ndarray:
+        if n == 1:
+            # one letter: the exact comparison costs less than a numpy block
+            return np.array([rotation_letter(self.coding, self._pos)],
+                            dtype=np.uint8)
         out = np.empty(n, dtype=np.uint8)
         alpha, rho, T = self.coding.alpha, self.coding.rho, self._T
         for off in range(0, n, _BLOCK):
@@ -273,9 +277,6 @@ class RotationStream(WordStream):
             for j in np.flatnonzero(unsure).tolist():
                 out[off + j] = rotation_letter(self.coding, pos + j)
         return out
-
-    def skip(self, n: int) -> None:
-        self.seek(self._pos + n)
 
     def prefix_parikh(self, n: int) -> tuple[int, ...]:
         """Exact letter counts of the first n letters via floor telescoping."""

@@ -56,10 +56,10 @@ class WordStream(ABC):
         return out
 
     def skip(self, n: int) -> None:
-        while n > 0:
-            step = min(n, _CHUNK)
-            self.take(step)
-            n -= step
+        """Advance n letters without producing them: seek(position + n)."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        self.seek(self._pos + n)
 
     def seek(self, pos: int) -> None:
         if pos < 0:

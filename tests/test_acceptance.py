@@ -141,13 +141,13 @@ def test_criterion_07_sturmian_ar_welldoc_coverage(capsys):
     t0 = time.perf_counter()
     checked = 0
     for m in (2, 3, 5):
-        reports = welldoc_scan(fibonacci_stream(), m, 6, 10 ** 7, threads=4)
+        reports = welldoc_scan(fibonacci_stream(), m, 6, 10 ** 7)
         assert len(reports) == 27          # Sturmian complexity: n+1 factors
         for factor, rep in reports.items():
             assert rep.verdict == COVERED, (m, factor)
         checked += len(reports)
     for m in (2, 3):
-        reports = welldoc_scan(tribonacci_stream(), m, 4, 10 ** 7, threads=4)
+        reports = welldoc_scan(tribonacci_stream(), m, 4, 10 ** 7)
         assert len(reports) == 24          # AR complexity: 2n+1 factors
         for factor, rep in reports.items():
             assert rep.verdict == COVERED, (m, factor)
@@ -217,12 +217,12 @@ def test_criterion_11_shuffle_removes_lattice_structure(capsys):
     z = ShuffledPrng(fibonacci_stream(),
                      [named_lcg("l64_28"), named_lcg("l64_32")])
     shuffled = search_normals(consecutive_tuples(z, 10 ** 6, 3),
-                              z.out_range, bound=10, threads=4)
+                              z.out_range, bound=10)
     assert len(shuffled) == 4630            # every t=3 normal up to bound 10
     assert all(r.plane_count >= 0.5 * r.comparison for r in shuffled)
     g = named_lcg("randu")
     bare = search_normals(consecutive_tuples(g, 10 ** 6, 3),
-                          g.out_range, bound=10, threads=4)
+                          g.out_range, bound=10)
     defective = [r for r in bare
                  if r.plane_count <= 15 and r.plane_count < r.comparison]
     assert defective, "search failed to reproduce the known defect"

@@ -168,6 +168,16 @@ def test_lattice_search_json(capsys):
     assert d["best"]["ratio"] < 1.0
 
 
+def test_lattice_threads_flag_is_inert(capsys):
+    # the benchmark harness still passes --threads; it must parse and change
+    # nothing
+    base = ("lattice", "randu", "--warmup", "0", "--sample", "4098", "--json")
+    rc, want, _ = run(capsys, *base)
+    assert rc == 0 and json.loads(want)["bound"] == 10
+    for extra in (("--threads", "1"), ("--threads", "3")):
+        assert run(capsys, *base, *extra)[:2] == (0, want)
+
+
 def test_stats_chi2_autoscaled(capsys):
     rc, out, _ = run(capsys, "stats", "randu", "--warmup", "0",
                      "--test", "chi2", "--n", "20000", "--bins", "16", "--json")

@@ -138,17 +138,15 @@ def test_search_normals_finds_randu_family():
     assert sum(1 for r in reports if r.ratio < 1.0) > 50
 
 
-def test_search_normals_threads_match_serial():
+def test_search_normals_matches_plane_count():
     x = np.arange(64, dtype=np.int64)
     pts = np.stack([x, (3 * x + 5) % 64], axis=1)
-    serial = search_normals(pts, 64, bound=4, threads=1)
-    pooled = search_normals(pts, 64, bound=4, threads=4)
-    assert serial == pooled
-    assert serial == sorted((plane_count(pts, r.normal, 64) for r in serial),
-                            key=lambda r: (r.ratio, r.normal))
-    ratios = [r.ratio for r in serial]
+    reports = search_normals(pts, 64, bound=4)
+    assert reports == sorted((plane_count(pts, r.normal, 64) for r in reports),
+                             key=lambda r: (r.ratio, r.normal))
+    ratios = [r.ratio for r in reports]
     assert ratios == sorted(ratios)
-    assert serial[0].ratio < 1.0
+    assert reports[0].ratio < 1.0
 
 
 def test_search_normals_validation():
@@ -202,8 +200,7 @@ def test_pruned_search_matches_oracle_around_the_screen(source, offset):
     tuples = consecutive_tuples(make(), lattice._SCREEN + offset + 2, 3)
     want = oracle_search(tuples, scale, 8)
     assert any(r.plane_count < r.comparison for r in want)
-    for threads in (1, 2):
-        assert search_normals(tuples, scale, bound=8, threads=threads) == want
+    assert search_normals(tuples, scale, bound=8) == want
 
 
 @pytest.mark.parametrize("source", ["randu", "minstd", "scale1000"])
@@ -220,8 +217,7 @@ def test_pruned_search_matches_oracle_across_stages(source, monkeypatch):
             < r.comparison]
     assert late
     assert any(r.plane_count < r.comparison for r in want)
-    for threads in (1, 2):
-        assert search_normals(tuples, scale, bound=10, threads=threads) == want
+    assert search_normals(tuples, scale, bound=10) == want
 
 
 def test_dump_points_csv(tmp_path):

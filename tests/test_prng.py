@@ -372,3 +372,26 @@ def test_shuffled_toy_pair_has_no_short_period():
     z = ShuffledPrng(fibonacci_stream(), [Lcg(32, 5, 1), Lcg(32, 5, 7)])
     window = z.outputs(220_000).tolist()
     assert smallest_window_period(window) > 10 ** 5
+
+
+class DrySource:
+    """Gives a few values, then an empty array; asked again after that, it
+    fails instead of letting a caller loop forever."""
+    def __init__(self, first):
+        self.first = first
+        self.dry = False
+
+    def outputs(self, k):
+        assert not self.dry, "asked again after an empty piece"
+        piece = np.arange(min(k, self.first), dtype=np.uint64)
+        self.first = 0
+        self.dry = piece.size == 0
+        return piece
+
+
+@pytest.mark.parametrize("first", [0, 3])
+def test_source_running_dry_is_an_error(first, tmp_path):
+    with pytest.raises(ParameterError, match="no values"):
+        chi_square_equidist(DrySource(first), 4, 1000)
+    with pytest.raises(ParameterError, match="no values"):
+        stream_export(DrySource(first), 10, tmp_path / "x.bin")

@@ -173,11 +173,18 @@ def test_fibonacci_rotation_matches_morphic():
 
 def test_rotation_seek_letter_at_parikh():
     s = fibonacci_rotation()
-    ref = bytes(s.take(30000))
+    ref = bytes(s.take(30001))
     s.seek(12345)
     assert bytes(s.take(100)) == ref[12345:12445]
     for pos in [0, 1, 17, 9999, 29999]:
         assert s.letter_at(pos) == ref[pos]
+        assert s.position == pos + 1
+        assert s.next_letter() == ref[pos + 1]
+    far = 10 ** 15
+    assert s.letter_at(far) == rotation_letter(s.coding, far)
+    assert s.position == far + 1
+    assert bytes(s.take(3)) == bytes(
+        rotation_letter(s.coding, far + k) for k in (1, 2, 3))
     fresh = fibonacci_rotation()
     for n in [0, 1, 2, 17, 12345, 30000]:
         ones = ref[:n].count(1)

@@ -6,6 +6,7 @@ from aprng.errors import AlphabetError, ParameterError, SpecParseError
 from aprng.morphic import FIBONACCI, Morphism, fibonacci_stream, interleave_letter
 from aprng.prng import NAMED_LCGS, ShuffledPrng, named_lcg
 from aprng.rotation import QuadraticIrrational
+from aprng.streams import CycleStream
 from aprng.specs import (FIB2_SPEC, FIB_SPEC, TRIB_SPEC, ArCycleSpec,
                          ArMorphicSpec, InterleaveSpec, LcgSpec, MergeSpec,
                          MorphicSpec, RotationSpec, ShuffleSpec, build_gen,
@@ -305,3 +306,37 @@ def test_build_gen_and_seed_override():
     assert z.outputs(1000).tolist() == manual.outputs(1000).tolist()
     z3 = build_gen("shuffle:fib:randu,lcg:m=2^31,a=65539,c=0,seed=7", seed=3)
     assert all(src.state == 3 for src in z3.sources)
+
+
+
+SKIP_WORDS = ["fib", "trib", "rot:(3-1*sqrt(5))/2:(0)/1", "ar:cycle:012",
+              "merge:010:trib", "fib2", "cycle"]
+
+
+def make_skip_word(text):
+    if text == "cycle":
+        return CycleStream(b"\x00\x01\x01\x02\x00")
+    return build_word(text)
+
+
+@pytest.fixture(scope="module")
+def skip_prefixes():
+    return {}
+
+
+@pytest.mark.parametrize("text", SKIP_WORDS)
+@pytest.mark.parametrize("n", [0, 1, 4097, 10 ** 6])
+def test_skip_equals_seek(text, n, skip_prefixes):
+    if text not in skip_prefixes:
+        skip_prefixes[text] = bytes(make_skip_word(text).take(10 ** 6 + 67))
+    ref = skip_prefixes[text]
+    for start in (0, 3):
+        skipped, sought = make_skip_word(text), make_skip_word(text)
+        skipped.take(start)
+        skipped.skip(n)
+        sought.seek(start + n)
+        assert skipped.position == start + n
+        assert bytes(skipped.take(64)) == bytes(sought.take(64)) \
+            == ref[start + n:start + n + 64]
+    with pytest.raises(ValueError):
+        skipped.skip(-1)

@@ -101,14 +101,6 @@ def test_scan_agrees_with_per_factor_checks():
         assert rep.witnesses == solo.witnesses
 
 
-def test_scan_thread_pool_matches_serial():
-    serial = welldoc_scan(tribonacci_stream(), 2, 2, max_prefix=5000, threads=1)
-    pooled = welldoc_scan(tribonacci_stream(), 2, 2, max_prefix=5000, threads=4)
-    assert serial.keys() == pooled.keys()
-    for f in serial:
-        assert serial[f] == pooled[f]
-
-
 def test_early_exit_stops_before_large_budget():
     rep = welldoc_check(WelldocQuery(fibonacci_stream(), b"\x00", 2, 10 ** 7))
     assert rep.verdict == COVERED
