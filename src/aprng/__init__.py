@@ -31,17 +31,13 @@ from .morphic import (
     MergedStream,
     Morphism,
     fibonacci_stream,
-    fixed_point_stream,
-    interleave_letter,
     iterate_fixed_point,
-    merge_letters,
     naive_stream,
     tribonacci_stream,
 )
 from .arnoux_rauzy import (
     ArnouxRauzyStream,
     BispecialChain,
-    ar_stream,
     iterated_palindromic_closure,
     next_bispecial,
     palindromic_closure,
@@ -52,7 +48,6 @@ from .rotation import (
     RotationStream,
     fibonacci_rotation,
     rotation_letter,
-    rotation_stream,
 )
 from .welldoc import (
     PreservationCertificate,
@@ -95,8 +90,6 @@ from .specs import (
     WordSpec,
     build_gen,
     build_word,
-    format_gen_spec,
-    format_word_spec,
     parse_gen_spec,
     parse_word_spec,
 )

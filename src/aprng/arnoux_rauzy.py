@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DirectiveError
 from .morphic import FixedPointStream
-from .streams import WordStream
+from .streams import CycleStream, WordStream
 from .words import PrefixBuffer, as_word
 
 DIRECTIVE_CHECK_HORIZON = 1000
@@ -121,36 +121,33 @@ def next_bispecial(chain: BispecialChain, letter: int) -> bytes:
 class ArnouxRauzyStream(WordStream):
     """Characteristic Arnoux-Rauzy word driven by a directive stream.
 
-    The directive must use every letter infinitely often.  For a morphic
-    fixed point this is decided exactly from the morphism; for other
-    directives the check is heuristic by necessity: only the first
-    ``check_horizon`` directive letters are inspected.
+    The directive must use every letter infinitely often.  For a periodic
+    directive or a morphic fixed point this is decided exactly, from the
+    pattern or the morphism; for other directives the check is heuristic by
+    necessity: only the first ``DIRECTIVE_CHECK_HORIZON`` directive letters
+    are inspected.
     """
 
-    def __init__(self, directive: WordStream, check_horizon: int = DIRECTIVE_CHECK_HORIZON,
-                 materialize_cap: int = 1 << 22):
+    def __init__(self, directive: WordStream, materialize_cap: int = 1 << 22):
         d = directive.alphabet_size
         super().__init__(d)
         if d < 2:
             raise DirectiveError("Arnoux-Rauzy words need an alphabet of size >= 2")
-        if isinstance(directive, FixedPointStream):
+        if isinstance(directive, CycleStream):
+            recurrent = set(directive.pattern)
+            why = "do not appear in the periodic directive's pattern"
+        elif isinstance(directive, FixedPointStream):
             recurrent = directive.morphism.recurrent_letters(directive.seed)
-            missing = [a for a in range(d) if a not in recurrent]
-            if missing:
-                raise DirectiveError(
-                    f"letters {missing} occur only finitely often in the "
-                    f"directive fixed point")
+            why = "occur only finitely often in the directive fixed point"
         else:
-            seen = np.bincount(directive.fork().take(check_horizon),
-                               minlength=d)
-            missing = [a for a in range(d) if seen[a] == 0]
-            if missing:
-                raise DirectiveError(
-                    f"letters {missing} do not appear in the first "
-                    f"{check_horizon} directive letters")
+            recurrent = set(directive.fork().take(DIRECTIVE_CHECK_HORIZON).tolist())
+            why = (f"do not appear in the first {DIRECTIVE_CHECK_HORIZON} "
+                   f"directive letters")
+        missing = [a for a in range(d) if a not in recurrent]
+        if missing:
+            raise DirectiveError(f"letters {missing} {why}")
         self._dir_source = directive
         self._dir = directive.fork()
-        self._check_horizon = check_horizon
         self._cap = materialize_cap
         self._buf = bytearray()
         self._head = PrefixBuffer(b"", d)
@@ -271,11 +268,7 @@ class ArnouxRauzyStream(WordStream):
         return tuple(c + t for c, t in zip(counts, tail))
 
     def fork(self) -> "ArnouxRauzyStream":
-        return ArnouxRauzyStream(self._dir_source, self._check_horizon, self._cap)
+        return ArnouxRauzyStream(self._dir_source, self._cap)
 
     def __repr__(self) -> str:
         return f"ArnouxRauzyStream({self._dir_source!r})"
-
-
-def ar_stream(directive: WordStream, **kwargs) -> ArnouxRauzyStream:
-    return ArnouxRauzyStream(directive, **kwargs)

@@ -16,8 +16,7 @@ from .errors import SpecParseError
 from .lattice import (consecutive_tuples, dump_points, plane_count,
                       search_normals)
 from .prng import stream_export
-from .specs import (ShuffleSpec, build_word, parse_gen_list,
-                    parse_gen_spec, parse_number, parse_word_spec)
+from .specs import build_word, parse_gen_spec, parse_number
 from .stats import (LowBitsSource, ScaledSource, chi_square_equidist,
                     gap_test, serial_pairs)
 from .welldoc import welldoc_scan
@@ -86,41 +85,23 @@ class _Sink:
 
 def _make_gen(args) -> object:
     """Build the generator named by the subcommand's arguments and warm it."""
-    if getattr(args, "word", None) is not None:
-        word = parse_word_spec(args.word)
-        spec = ShuffleSpec(word, parse_gen_list(",".join(args.gens)))
-    else:
-        spec = parse_gen_spec(args.spec)
-    gen = spec.build(args.seed)
+    gen = parse_gen_spec(args.spec).build(args.seed)
     if args.warmup:
         gen.warm_up(args.warmup)
     return gen
 
 
 def _cmd_word(args) -> int:
-    stream = build_word(parse_word_spec(args.spec),
-                        block_cap=args.block_cap,
-                        convention=args.convention)
+    stream = build_word(args.spec)
     remaining = args.count
-    if args.raw:
-        with _Sink(args.out) as f:
-            while remaining > 0:
-                take = min(_TEXT_CHUNK, remaining)
-                f.write(bytes(stream.take(take)))
-                remaining -= take
-        return 0
-    out = sys.stdout if args.out == "-" else open(args.out, "w")
-    try:
+    with _Sink(args.out) as f:
         while remaining > 0:
             take = min(_TEXT_CHUNK, remaining)
-            out.write(word_to_text(bytes(stream.take(take))))
+            chunk = bytes(stream.take(take))
+            f.write(chunk if args.raw else word_to_text(chunk).encode())
             remaining -= take
-        out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-        else:
-            out.flush()
+        if not args.raw:
+            f.write(b"\n")
     return 0
 
 
@@ -131,8 +112,13 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _cmd_shuffle(args) -> int:
+    args.spec = f"shuffle:{args.word}:{','.join(args.gens)}"
+    return _cmd_gen(args)
+
+
 def _cmd_welldoc(args) -> int:
-    stream = build_word(parse_word_spec(args.spec))
+    stream = build_word(args.spec)
     reports = welldoc_scan(stream, args.m, args.factor_len,
                            max_prefix=args.prefix)
     factors = {word_to_text(k): v.as_dict() for k, v in reports.items()}
@@ -155,8 +141,7 @@ def _cmd_lattice(args) -> int:
     scale = args.scale or getattr(gen, "out_range", None) or 1 << 32
     tuples = consecutive_tuples(gen, args.sample, args.t)
     result = {
-        "generator": args.spec if args.word is None else
-        f"shuffle:{args.word}:{','.join(args.gens)}",
+        "generator": args.spec,
         "t": args.t,
         "scale": scale,
         "sample": args.sample,
@@ -228,24 +213,20 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--raw", action="store_true",
                    help="one byte per letter instead of ASCII digits")
     w.add_argument("--out", default="-", help="output file, - for stdout")
-    w.add_argument("--block-cap", type=_num, default=None,
-                   help="morphic expansion block size limit")
-    w.add_argument("--convention", choices=("left", "right"), default=None,
-                   help="half-open interval side for rotation words")
-    w.set_defaults(func=_cmd_word, word=None)
+    w.set_defaults(func=_cmd_word)
 
     g = sp.add_parser("gen", help="emit raw 32-bit outputs of a generator")
     _add_gen_arguments(g, shuffle=False)
     g.add_argument("--count", type=_num, required=True, help="outputs to emit")
     g.add_argument("--out", default="-", help="output file, - for stdout")
-    g.set_defaults(func=_cmd_gen, word=None)
+    g.set_defaults(func=_cmd_gen)
 
     s = sp.add_parser("shuffle",
                       help="emit outputs of a word-steered source mix")
     _add_gen_arguments(s, shuffle=True)
     s.add_argument("--count", type=_num, required=True, help="outputs to emit")
     s.add_argument("--out", default="-", help="output file, - for stdout")
-    s.set_defaults(func=_cmd_gen, spec=None)
+    s.set_defaults(func=_cmd_shuffle)
 
     wd = sp.add_parser("welldoc", help="letter-count coverage report (JSON)")
     wd.add_argument("spec", help="word descriptor")
@@ -272,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     la.add_argument("--threads", type=_num, default=None,
                     help="accepted for old callers; has no effect")
     la.add_argument("--json", action="store_true", help="JSON output")
-    la.set_defaults(func=_cmd_lattice, word=None)
+    la.set_defaults(func=_cmd_lattice)
 
     st = sp.add_parser("stats", help="desk-scale statistical tests")
     _add_gen_arguments(st, shuffle=False)
@@ -286,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--lowbits", type=_num, default=0,
                     help="test only the lowest K state bits")
     st.add_argument("--json", action="store_true", help="JSON output")
-    st.set_defaults(func=_cmd_stats, word=None)
+    st.set_defaults(func=_cmd_stats)
 
     return p
 

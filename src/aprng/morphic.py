@@ -374,11 +374,6 @@ class FixedPointStream(WordStream):
                 f"power={self.power})")
 
 
-def fixed_point_stream(phi: Morphism, seed: int = 0,
-                       block_cap: int = DEFAULT_BLOCK_CAP) -> FixedPointStream:
-    return FixedPointStream(phi, seed, block_cap)
-
-
 def naive_stream(phi: Morphism, seed: int = 0) -> FixedPointStream:
     """One-letter-per-step expansion of phi itself (benchmark baseline)."""
     return FixedPointStream(phi, seed, block_cap=max(len(im) for im in phi.images))
@@ -425,10 +420,6 @@ class MergedStream(WordStream):
         return f"MergedStream({self._inner!r}, {self.mapping})"
 
 
-def merge_letters(u: WordStream, mapping) -> MergedStream:
-    return MergedStream(u, mapping)
-
-
 class InterleavedStream(WordStream):
     """u_0 c u_1 c u_2 c ... for a fresh letter c extending the alphabet."""
 
@@ -463,10 +454,6 @@ class InterleavedStream(WordStream):
 
     def __repr__(self):
         return f"InterleavedStream({self._inner!r}, {self._c})"
-
-
-def interleave_letter(u: WordStream, c: int) -> InterleavedStream:
-    return InterleavedStream(u, c)
 
 
 FIBONACCI = Morphism(["01", "0"])

@@ -299,13 +299,8 @@ class RotationStream(WordStream):
         return f"RotationStream({self.coding!r})"
 
 
-def rotation_stream(alpha: QuadraticIrrational, rho: QuadraticIrrational,
-                    convention: str = "left") -> RotationStream:
-    return RotationStream(RotationCoding(alpha, rho, convention))
-
-
 def fibonacci_rotation(convention: str = "left") -> RotationStream:
     """The rotation parameterization that reproduces the Fibonacci word:
     slope (3 - sqrt(5))/2 with intercept equal to the slope."""
     alpha = QuadraticIrrational(3, -1, 2, 5)
-    return rotation_stream(alpha, alpha, convention)
+    return RotationStream(RotationCoding(alpha, alpha, convention))

@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import SpecParseError
-from .morphic import (DEFAULT_BLOCK_CAP, FIBONACCI, TRIBONACCI, Morphism,
-                      fixed_point_stream, interleave_letter, merge_letters)
-from .arnoux_rauzy import ar_stream
+from .morphic import (FIBONACCI, TRIBONACCI, FixedPointStream,
+                      InterleavedStream, MergedStream, Morphism)
+from .arnoux_rauzy import ArnouxRauzyStream
 from .prng import NAMED_LCGS, Lcg, ShuffledPrng
 from .rotation import QuadraticIrrational, RotationCoding, RotationStream
 from .streams import CycleStream, WordStream
@@ -45,7 +45,6 @@ __all__ = [
     "RotationSpec", "MergeSpec", "InterleaveSpec",
     "GenSpec", "LcgSpec", "ShuffleSpec",
     "parse_word_spec", "parse_gen_spec",
-    "format_word_spec", "format_gen_spec",
     "build_word", "build_gen",
     "parse_morphism_rules", "parse_number", "format_number",
     "parse_quadratic", "format_quadratic",
@@ -161,8 +160,7 @@ class WordSpec:
     def format(self) -> str:
         raise NotImplementedError
 
-    def build(self, block_cap: int | None = None,
-              convention: str | None = None) -> WordStream:
+    def build(self) -> WordStream:
         raise NotImplementedError
 
 
@@ -175,9 +173,8 @@ class MorphicSpec(WordSpec):
         base = f"morphism:{self.morphism.to_text()}"
         return base if self.seed == 0 else f"{base}:{self.seed}"
 
-    def build(self, block_cap=None, convention=None) -> WordStream:
-        return fixed_point_stream(self.morphism, self.seed,
-                                  block_cap or DEFAULT_BLOCK_CAP)
+    def build(self) -> WordStream:
+        return FixedPointStream(self.morphism, self.seed)
 
 
 @dataclass(frozen=True)
@@ -187,8 +184,8 @@ class ArCycleSpec(WordSpec):
     def format(self) -> str:
         return f"ar:cycle:{word_to_text(self.pattern)}"
 
-    def build(self, block_cap=None, convention=None) -> WordStream:
-        return ar_stream(CycleStream(self.pattern))
+    def build(self) -> WordStream:
+        return ArnouxRauzyStream(CycleStream(self.pattern))
 
 
 @dataclass(frozen=True)
@@ -199,10 +196,8 @@ class ArMorphicSpec(WordSpec):
     def format(self) -> str:
         return f"ar:morphic:{self.morphism.to_text()}:{self.seed}"
 
-    def build(self, block_cap=None, convention=None) -> WordStream:
-        directive = fixed_point_stream(self.morphism, self.seed,
-                                       block_cap or DEFAULT_BLOCK_CAP)
-        return ar_stream(directive)
+    def build(self) -> WordStream:
+        return ArnouxRauzyStream(FixedPointStream(self.morphism, self.seed))
 
 
 @dataclass(frozen=True)
@@ -215,10 +210,9 @@ class RotationSpec(WordSpec):
         base = f"rot:{format_quadratic(self.alpha)}:{format_quadratic(self.rho)}"
         return base if self.convention == "left" else f"{base}:{self.convention}"
 
-    def build(self, block_cap=None, convention=None) -> WordStream:
-        coding = RotationCoding(self.alpha, self.rho,
-                                convention or self.convention)
-        return RotationStream(coding)
+    def build(self) -> WordStream:
+        return RotationStream(RotationCoding(self.alpha, self.rho,
+                                             self.convention))
 
 
 @dataclass(frozen=True)
@@ -230,9 +224,8 @@ class MergeSpec(WordSpec):
         digits = "".join(str(v) for v in self.mapping)
         return f"merge:{digits}:{self.inner.format()}"
 
-    def build(self, block_cap=None, convention=None) -> WordStream:
-        return merge_letters(self.inner.build(block_cap, convention),
-                             self.mapping)
+    def build(self) -> WordStream:
+        return MergedStream(self.inner.build(), self.mapping)
 
 
 @dataclass(frozen=True)
@@ -243,9 +236,8 @@ class InterleaveSpec(WordSpec):
     def format(self) -> str:
         return f"interleave:{self.letter}:{self.inner.format()}"
 
-    def build(self, block_cap=None, convention=None) -> WordStream:
-        return interleave_letter(self.inner.build(block_cap, convention),
-                                 self.letter)
+    def build(self) -> WordStream:
+        return InterleavedStream(self.inner.build(), self.letter)
 
 
 class GenSpec:
@@ -344,8 +336,8 @@ def _parse_word(cur: _Cursor) -> WordSpec:
         return FIB2_SPEC
     if head == "morphism":
         phi = _parse_rules(cur)
-        seed = _optional_int_segment(cur)
-        return MorphicSpec(phi, 0 if seed is None else seed)
+        seed = _optional_segment(cur, str.isdigit)
+        return MorphicSpec(phi, 0 if seed is None else int(seed))
     if head == "ar":
         cur.eat(":", "then 'cycle' or 'morphic'")
         kind = cur.segment(":")
@@ -375,7 +367,7 @@ def _parse_word(cur: _Cursor) -> WordSpec:
         cur.eat(":", "then the starting point (a+b*sqrt(D))/c")
         r_pos = cur.pos
         rho = parse_quadratic(cur.segment(":"), pos=r_pos)
-        convention = _optional_keyword_segment(cur, ("left", "right"))
+        convention = _optional_segment(cur, ("left", "right").__contains__)
         return RotationSpec(alpha, rho, convention or "left")
     if head == "merge":
         cur.eat(":", "then the digit map like 010")
@@ -414,26 +406,15 @@ def _parse_rules(cur: _Cursor) -> Morphism:
         raise SpecParseError(str(e), cur.text, rule_pos) from None
 
 
-def _optional_int_segment(cur: _Cursor) -> int | None:
-    """Consume ``:<digits>`` if present; otherwise leave the cursor alone."""
+def _optional_segment(cur: _Cursor, accept) -> str | None:
+    """Consume ``:<segment>`` if present and ``accept(segment)``; otherwise
+    leave the cursor alone."""
     if cur.peek() != ":":
         return None
     save = cur.pos
     cur.pos += 1
     seg = cur.segment(":,")
-    if seg.isdigit():
-        return int(seg)
-    cur.pos = save
-    return None
-
-
-def _optional_keyword_segment(cur: _Cursor, words) -> str | None:
-    if cur.peek() != ":":
-        return None
-    save = cur.pos
-    cur.pos += 1
-    seg = cur.segment(":,")
-    if seg in words:
+    if accept(seg):
         return seg
     cur.pos = save
     return None
@@ -516,31 +497,10 @@ def parse_gen_spec(text: str) -> GenSpec:
     return spec
 
 
-def parse_gen_list(text: str) -> tuple[GenSpec, ...]:
-    """Comma separated generator descriptors."""
-    cur = _Cursor(text)
-    gens = [_parse_gen(cur)]
-    while cur.peek() == ",":
-        cur.pos += 1
-        gens.append(_parse_gen(cur))
-    if not cur.at_end():
-        cur.error("unexpected trailing text after generator list")
-    return tuple(gens)
-
-
-def format_word_spec(spec: WordSpec) -> str:
-    return spec.format()
-
-
-def format_gen_spec(spec: GenSpec) -> str:
-    return spec.format()
-
-
-def build_word(spec: WordSpec | str, block_cap: int | None = None,
-               convention: str | None = None) -> WordStream:
+def build_word(spec: WordSpec | str) -> WordStream:
     if isinstance(spec, str):
         spec = parse_word_spec(spec)
-    return spec.build(block_cap, convention)
+    return spec.build()
 
 
 def build_gen(spec: GenSpec | str, seed: int | None = None):

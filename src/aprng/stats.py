@@ -23,6 +23,7 @@ from .prng import _value_chunks
 
 _CHUNK = 1 << 22
 _GAP_CAP = 1 << 12
+_MAX_PAIR_CELLS = 1 << 22   # serial_pairs keeps three int64/float64 arrays of bins^2
 _MAX_LOG = math.log(sys.float_info.max)
 
 
@@ -120,6 +121,9 @@ def chi_square_equidist(source, bins: int, n: int) -> StatsReport:
 def serial_pairs(source, bins: int, n: int) -> StatsReport:
     """Chi-square over the bins^2 cells of non-overlapping output pairs."""
     _check_pre(bins, n)
+    if bins * bins > _MAX_PAIR_CELLS:
+        raise ParameterError(
+            f"bins^2 = {bins * bins} cells exceed the limit of {_MAX_PAIR_CELLS}")
     npairs = n // 2
     if npairs < 1:
         raise InsufficientDataError("need at least one pair")

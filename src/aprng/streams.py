@@ -15,8 +15,6 @@ import numpy as np
 from .errors import AlphabetError
 from .words import MAX_ALPHABET, PrefixBuffer, as_word
 
-_CHUNK = 1 << 16
-
 
 class WordStream(ABC):
     def __init__(self, alphabet_size: int):
@@ -75,10 +73,9 @@ class WordStream(ABC):
         self.seek(pos)
         return int(self.take(1)[0])
 
-    def prefix(self, n: int, stride: int = 1024) -> PrefixBuffer:
+    def prefix(self, n: int) -> PrefixBuffer:
         """Materialize the first n letters without disturbing this cursor."""
-        s = self.fork()
-        return PrefixBuffer(s.take(n), self._d, source=repr(self), stride=stride)
+        return PrefixBuffer(self.fork().take(n), self._d, source=repr(self))
 
     def prefix_parikh(self, n: int) -> tuple[int, ...]:
         """Exact Parikh vector of the first n letters.
@@ -95,11 +92,6 @@ class WordStream(ABC):
             left -= block.size
         return tuple(int(c) for c in counts)
 
-    def __iter__(self):
-        while True:
-            for letter in self.take(_CHUNK):
-                yield int(letter)
-
 
 class CycleStream(WordStream):
     """Periodic repetition of a finite pattern (directives, test words)."""
@@ -111,7 +103,7 @@ class CycleStream(WordStream):
         d = alphabet_size if alphabet_size is not None else max(pat) + 1
         super().__init__(d)
         self._pat = np.frombuffer(pat, dtype=np.uint8)
-        self._pat_bytes = pat
+        self.pattern = pat
 
     def _produce(self, n: int) -> np.ndarray:
         L = self._pat.size
@@ -123,7 +115,7 @@ class CycleStream(WordStream):
         pass  # position alone determines the phase
 
     def fork(self) -> "CycleStream":
-        return CycleStream(self._pat_bytes, self._d)
+        return CycleStream(self.pattern, self._d)
 
     def prefix_parikh(self, n: int) -> tuple[int, ...]:
         L = self._pat.size
@@ -134,4 +126,4 @@ class CycleStream(WordStream):
         return tuple(int(c) for c in counts)
 
     def __repr__(self) -> str:
-        return f"CycleStream({self._pat_bytes!r})"
+        return f"CycleStream({self.pattern!r})"

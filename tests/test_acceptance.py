@@ -12,8 +12,8 @@ import numpy as np
 from aprng.arnoux_rauzy import BispecialChain, next_bispecial, palindromic_closure
 from aprng.cli import main
 from aprng.lattice import consecutive_tuples, plane_count, search_normals
-from aprng.morphic import (FIBONACCI, Morphism, THUE_MORSE, fibonacci_stream,
-                           fixed_point_stream, iterate_fixed_point, naive_stream,
+from aprng.morphic import (FIBONACCI, Morphism, THUE_MORSE, FixedPointStream,
+                           fibonacci_stream, iterate_fixed_point, naive_stream,
                            tribonacci_stream)
 from aprng.prng import ShuffledPrng, named_lcg
 from aprng.rotation import fibonacci_rotation
@@ -69,7 +69,7 @@ def test_criterion_02_block_equals_naive_iteration(capsys):
     cases += [_random_expanding_morphism(rng) for _ in range(5)]
     for phi, seed in cases:
         oracle = np.frombuffer(iterate_fixed_point(phi, seed, n)[:n], dtype=np.uint8)
-        got = fixed_point_stream(phi, seed).take(n)
+        got = FixedPointStream(phi, seed).take(n)
         assert np.array_equal(got, oracle), phi.to_text()
     with capsys.disabled():
         _finish(2, t0, 10.0, f"{len(cases)} morphisms x 1e6 letters")
@@ -99,7 +99,7 @@ def test_criterion_03_random_access_coherence(capsys):
 def test_criterion_04_block_speedup(capsys):
     t0 = time.perf_counter()
     n = 10 ** 8
-    s = fixed_point_stream(FIBONACCI, 0)
+    s = FixedPointStream(FIBONACCI, 0)
     tb = time.perf_counter()
     _drain(s, n)
     block_time = time.perf_counter() - tb
@@ -127,7 +127,7 @@ def test_criterion_05_randu_lattice_defect(capsys):
 
 def test_criterion_06_thue_morse_welldoc_failure(capsys):
     t0 = time.perf_counter()
-    stream = fixed_point_stream(THUE_MORSE, 0)
+    stream = FixedPointStream(THUE_MORSE, 0)
     rep = welldoc_check(WelldocQuery(stream, b"\x00\x00", 2, 10 ** 6))
     assert rep.verdict != COVERED
     assert (0, 0) in rep.missing

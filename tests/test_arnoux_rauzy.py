@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aprng.arnoux_rauzy import (ArnouxRauzyStream, BispecialChain, ar_stream,
+from aprng.arnoux_rauzy import (ArnouxRauzyStream, BispecialChain,
                                 iterated_palindromic_closure, next_bispecial,
                                 palindromic_closure)
 from aprng.errors import DirectiveError
-from aprng.morphic import (Morphism, fibonacci_stream, fixed_point_stream,
+from aprng.morphic import (FixedPointStream, Morphism, fibonacci_stream,
                            iterate_fixed_point, tribonacci_stream)
 from aprng.streams import CycleStream
 from aprng.words import as_word, parikh
@@ -72,14 +72,14 @@ def test_next_bispecial_rejects_out_of_range_letter():
 
 
 def test_ar_stream_fibonacci_and_tribonacci():
-    s = ar_stream(CycleStream(bytes([0, 1])))
+    s = ArnouxRauzyStream(CycleStream(bytes([0, 1])))
     assert bytes(s.take(10000)) == bytes(fibonacci_stream().take(10000))
-    t = ar_stream(CycleStream(bytes([0, 1, 2])))
+    t = ArnouxRauzyStream(CycleStream(bytes([0, 1, 2])))
     assert bytes(t.take(10000)) == bytes(tribonacci_stream().take(10000))
 
 
 def test_ar_stream_seek_and_fork():
-    s = ar_stream(CycleStream(bytes([0, 1, 2])))
+    s = ArnouxRauzyStream(CycleStream(bytes([0, 1, 2])))
     ref = bytes(s.take(5000))
     s.seek(1234)
     assert bytes(s.take(100)) == ref[1234:1334]
@@ -89,9 +89,9 @@ def test_ar_stream_seek_and_fork():
 
 
 def test_ar_stream_prefix_parikh():
-    s = ar_stream(CycleStream(bytes([0, 1, 2])))
+    s = ArnouxRauzyStream(CycleStream(bytes([0, 1, 2])))
     ref = bytes(s.take(5000))
-    fresh = ar_stream(CycleStream(bytes([0, 1, 2])))
+    fresh = ArnouxRauzyStream(CycleStream(bytes([0, 1, 2])))
     for n in [0, 1, 17, 4999, 5000]:
         assert fresh.prefix_parikh(n) == parikh(ref[:n], 3)
 
@@ -99,11 +99,11 @@ def test_ar_stream_prefix_parikh():
 def test_ar_stream_rejects_starved_directive():
     # a directive that never mentions letter 2 cannot drive a 3-letter word
     with pytest.raises(DirectiveError):
-        ar_stream(CycleStream(bytes([0, 1]), alphabet_size=3))
+        ArnouxRauzyStream(CycleStream(bytes([0, 1]), alphabet_size=3))
 
 
 def test_unbalanced_directive_still_works():
-    s = ar_stream(CycleStream(bytes([0, 0, 0, 1])))
+    s = ArnouxRauzyStream(CycleStream(bytes([0, 0, 0, 1])))
     w = bytes(s.take(2000))
     assert set(w) == {0, 1}
     # cross-check against the definitional construction
@@ -111,14 +111,15 @@ def test_unbalanced_directive_still_works():
     assert w[:min(2000, len(oracle))] == oracle[:2000]
 
 
-def test_fork_keeps_check_horizon():
-    # letter 2 first appears at index 1200, past the default horizon
+def test_periodic_directive_is_checked_exactly():
+    # letter 2 first appears at index 1200, past the horizon a heuristic
+    # check inspects, yet recurs with the period: the directive is valid
     directive = CycleStream(bytes([0, 1] * 600 + [2]))
-    with pytest.raises(DirectiveError):
-        ArnouxRauzyStream(directive)
-    s = ArnouxRauzyStream(directive, check_horizon=2000)
+    s = ArnouxRauzyStream(directive)
     f = s.fork()
     assert bytes(f.take(3000)) == bytes(s.take(3000))
+    oracle = iterated_palindromic_closure(bytes([0, 1] * 6))
+    assert bytes(ArnouxRauzyStream(directive).take(len(oracle))) == oracle
 
 
 @pytest.mark.parametrize("rules,recurrent", [
@@ -140,18 +141,18 @@ def test_recurrent_letters_of_fixed_points(rules, recurrent):
 
 @pytest.mark.parametrize("rules", ["0->01,1->1", "0->01,1->2,2->1"])
 def test_fixed_point_directive_missing_a_letter_is_rejected(rules):
-    directive = fixed_point_stream(Morphism.from_text(rules), 0)
+    directive = FixedPointStream(Morphism.from_text(rules), 0)
     with pytest.raises(DirectiveError, match="finitely often"):
-        ar_stream(directive)
+        ArnouxRauzyStream(directive)
 
 
 def test_fixed_point_directive_is_checked_exactly():
     # letter 1 first appears at index 1002, past the horizon a heuristic
     # check inspects, yet recurs: the directive is valid
-    directive = fixed_point_stream(Morphism(["0" * 1002 + "1", "0"]), 0)
-    s = ar_stream(directive)
+    directive = FixedPointStream(Morphism(["0" * 1002 + "1", "0"]), 0)
+    s = ArnouxRauzyStream(directive)
     assert bytes(s.take(2005)) == bytes([0] * 1002 + [1] + [0] * 1002)
-    assert set(bytes(ar_stream(fibonacci_stream()).take(100))) == {0, 1}
+    assert set(bytes(ArnouxRauzyStream(fibonacci_stream()).take(100))) == {0, 1}
 
 
 def bispecial_chain(pattern: bytes, min_len: int) -> BispecialChain:

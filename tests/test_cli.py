@@ -35,12 +35,10 @@ def test_word_text_and_raw_files(tmp_path):
     assert raw.read_bytes() == expect
 
 
-def test_word_block_cap_and_convention(capsys):
-    rc, out, _ = run(capsys, "word", "fib", "--count", "32", "--block-cap", "64")
-    assert rc == 0 and out == FIB32 + "\n"
+def test_word_rotation_convention_suffix(capsys):
     rot = "rot:(3-1*sqrt(5))/2:(0)/1"
     _, left, _ = run(capsys, "word", rot, "--count", "1")
-    _, right, _ = run(capsys, "word", rot, "--count", "1", "--convention", "right")
+    _, right, _ = run(capsys, "word", rot + ":right", "--count", "1")
     assert (left, right) == ("0\n", "1\n")
 
 
@@ -93,6 +91,17 @@ def test_shuffle_arg_styles_agree(tmp_path):
     buf = io.BytesIO()
     stream_export(z, 100, buf)
     assert one.read_bytes() == buf.getvalue()
+    gen = tmp_path / "gen.bin"
+    main(["gen", "shuffle:fib:randu,randu", "--warmup", "0",
+          "--count", "100", "--out", str(gen)])
+    assert gen.read_bytes() == one.read_bytes()
+    # a word whose descriptor has colons of its own
+    rot = "rot:(3-1*sqrt(5))/2:(0)/1:right"
+    main(["shuffle", rot, "randu", "randu", "--warmup", "0",
+          "--count", "100", "--out", str(one)])
+    main(["gen", f"shuffle:{rot}:randu,randu", "--warmup", "0",
+          "--count", "100", "--out", str(two)])
+    assert one.read_bytes() == two.read_bytes()
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -287,6 +296,14 @@ def test_lattice_rejects_bad_parameters(capsys, tmp_path):
                        "--sample", "100", "--t", "5", "--bound", "9")
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and "candidate normals" in err
+
+
+def test_long_periodic_ar_directive_is_accepted(capsys):
+    # letter 1 first appears at index 1000 of the directive, yet recurs
+    rc, out, err = run(capsys, "word", "ar:cycle:" + "0" * 1000 + "1",
+                       "--count", "20")
+    assert rc == 0 and err == ""
+    assert out == "0" * 20 + "\n"
 
 
 def test_periodic_ar_directive_is_rejected(capsys):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from aprng.errors import AlphabetError, ParameterError
 from aprng.morphic import (FIBONACCI, THUE_MORSE, TRIBONACCI, FixedPointStream,
-                           Morphism, fibonacci_stream, fixed_point_stream,
-                           interleave_letter, iterate_fixed_point,
-                           merge_letters, naive_stream, tribonacci_stream)
+                           InterleavedStream, MergedStream, Morphism,
+                           fibonacci_stream, iterate_fixed_point, naive_stream,
+                           tribonacci_stream)
 
 FIB_PREFIX = "01001010010010100101001001010010"
 
@@ -90,7 +90,7 @@ def test_iterate_fixed_point_agrees_with_stream():
 def test_block_stream_equals_naive_small():
     for phi, seed in [(FIBONACCI, 0), (TRIBONACCI, 0), (THUE_MORSE, 0),
                       (THUE_MORSE, 1)]:
-        fast = fixed_point_stream(phi, seed)
+        fast = FixedPointStream(phi, seed)
         slow = naive_stream(phi, seed)
         assert bytes(fast.take(5000)) == bytes(slow.take(5000))
 
@@ -100,16 +100,16 @@ def test_block_stream_equals_naive_small():
 def test_block_stream_equals_naive_random(seed):
     rng = random.Random(seed)
     phi = random_prolongable(rng)
-    fast = fixed_point_stream(phi, 0)
+    fast = FixedPointStream(phi, 0)
     slow = naive_stream(phi, 0)
     assert bytes(fast.take(2000)) == bytes(slow.take(2000))
 
 
 def test_non_prolongable_seed_rejected():
     with pytest.raises((ParameterError, ValueError)):
-        fixed_point_stream(FIBONACCI, 1)
+        FixedPointStream(FIBONACCI, 1)
     with pytest.raises((ParameterError, ValueError)):
-        fixed_point_stream(Morphism(["10", "0"]), 0)
+        FixedPointStream(Morphism(["10", "0"]), 0)
 
 
 def test_letter_at_matches_sequential():
@@ -144,52 +144,52 @@ def test_fork_is_independent():
 
 def test_block_cap_changes_nothing():
     for cap in [2, 3, 64, 4096]:
-        s = fixed_point_stream(FIBONACCI, 0, block_cap=cap)
+        s = FixedPointStream(FIBONACCI, 0, block_cap=cap)
         assert bytes(s.take(2000)) == bytes(fibonacci_stream().take(2000))
 
 
 def test_merge_projects_letters():
-    s = merge_letters(tribonacci_stream(), (0, 1, 0))
+    s = MergedStream(tribonacci_stream(), (0, 1, 0))
     t = tribonacci_stream()
     ref = bytes(t.take(1000))
     assert bytes(s.take(1000)) == bytes((0, 1, 0)[a] for a in ref)
     assert s.alphabet_size == 2
     with pytest.raises(AlphabetError):
-        merge_letters(tribonacci_stream(), (0, 2, 0))
+        MergedStream(tribonacci_stream(), (0, 2, 0))
     with pytest.raises(AlphabetError):
-        merge_letters(tribonacci_stream(), (0, 1))
+        MergedStream(tribonacci_stream(), (0, 1))
 
 
 def test_merge_prefix_parikh():
-    s = merge_letters(tribonacci_stream(), (0, 1, 0))
+    s = MergedStream(tribonacci_stream(), (0, 1, 0))
     ref = bytes(s.take(5000))
-    fresh = merge_letters(tribonacci_stream(), (0, 1, 0))
+    fresh = MergedStream(tribonacci_stream(), (0, 1, 0))
     assert fresh.prefix_parikh(3777) == (ref[:3777].count(0), ref[:3777].count(1))
 
 
 def test_interleave_inserts_fresh_letter():
-    s = interleave_letter(fibonacci_stream(), 2)
+    s = InterleavedStream(fibonacci_stream(), 2)
     got = bytes(s.take(12))
     fib = bytes(fibonacci_stream().take(6))
     expect = bytes([fib[0], 2, fib[1], 2, fib[2], 2, fib[3], 2, fib[4], 2, fib[5], 2])
     assert got == expect
     assert s.alphabet_size == 3
     with pytest.raises(AlphabetError):
-        interleave_letter(fibonacci_stream(), 1)
+        InterleavedStream(fibonacci_stream(), 1)
 
 
 def test_interleave_seek_and_parikh():
-    s = interleave_letter(fibonacci_stream(), 2)
+    s = InterleavedStream(fibonacci_stream(), 2)
     ref = bytes(s.take(9999))
     s.seek(1234)
     assert bytes(s.take(100)) == ref[1234:1334]
     counts = np.bincount(np.frombuffer(ref[:7001], np.uint8), minlength=3)
-    fresh = interleave_letter(fibonacci_stream(), 2)
+    fresh = InterleavedStream(fibonacci_stream(), 2)
     assert fresh.prefix_parikh(7001) == tuple(int(c) for c in counts)
 
 
 def test_stack_depth_tracked():
-    s = fixed_point_stream(FIBONACCI, 0, block_cap=8)
+    s = FixedPointStream(FIBONACCI, 0, block_cap=8)
     s.take(100000)
     assert s.max_stack_depth >= 1
 
@@ -242,8 +242,8 @@ def access_record(s, pos):
 def test_far_access_matches_oracles(name, cap, naive_prefixes):
     from aprng.rotation import fibonacci_rotation, rotation_letter
     phi = FAR_MORPHISMS[name]
-    s = fixed_point_stream(phi, 0, block_cap=cap)
-    ref = fixed_point_stream(phi, 0, block_cap=4096 if cap != 4096 else 3)
+    s = FixedPointStream(phi, 0, block_cap=cap)
+    ref = FixedPointStream(phi, 0, block_cap=4096 if cap != 4096 else 3)
     naive = naive_prefixes[name]
     coding = fibonacci_rotation().coding
     d = phi.alphabet_size
@@ -266,9 +266,9 @@ def test_far_access_matches_oracles(name, cap, naive_prefixes):
 def test_concurrent_seeks_on_fresh_tables(cap):
     # these block caps are used nowhere else, so the threads find empty tables
     positions = far_positions(TRIBONACCI, 1)
-    ref = fixed_point_stream(TRIBONACCI, 0)
+    ref = FixedPointStream(TRIBONACCI, 0)
     expect = [access_record(ref, p) for p in positions]
-    base = fixed_point_stream(TRIBONACCI, 0, block_cap=cap)
+    base = FixedPointStream(TRIBONACCI, 0, block_cap=cap)
     streams = [base.fork() for _ in range(4)]
     orders = [positions if i % 2 else positions[::-1] for i in range(4)]
     results = [None] * 4

@@ -11,7 +11,7 @@ from aprng.morphic import fibonacci_stream
 import aprng.rotation as rotation
 from aprng.rotation import (QuadraticIrrational, RotationCoding,
                             RotationStream, fibonacci_rotation,
-                            rotation_letter, rotation_stream)
+                            rotation_letter)
 
 GOLDEN_CONJ = QuadraticIrrational(3, -1, 2, 5)      # (3-sqrt(5))/2
 
@@ -216,8 +216,8 @@ def test_right_convention_differs_only_on_orbit_hits():
 def test_generic_rho_conventions_agree():
     alpha = GOLDEN_CONJ
     rho = QuadraticIrrational(1, 1, 7, 5)     # (1+sqrt(5))/7, off the orbit
-    left = rotation_stream(alpha, rho, "left")
-    right = rotation_stream(alpha, rho, "right")
+    left = RotationStream(RotationCoding(alpha, rho, "left"))
+    right = RotationStream(RotationCoding(alpha, rho, "right"))
     assert bytes(left.take(5000)) == bytes(right.take(5000))
 
 
@@ -226,7 +226,7 @@ def test_mixed_field_coding_is_rejected():
     with pytest.raises(FieldMismatchError):
         RotationCoding(GOLDEN_CONJ, sqrt2_third)
     with pytest.raises(FieldMismatchError):
-        rotation_stream(GOLDEN_CONJ, sqrt2_third, "right")
+        RotationStream(RotationCoding(GOLDEN_CONJ, sqrt2_third, "right"))
     # a rational intercept shares every field
     RotationCoding(GOLDEN_CONJ, QuadraticIrrational.from_rational(Fraction(1, 3)))
 

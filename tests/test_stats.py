@@ -85,6 +85,20 @@ def test_chi_square_matches_direct_computation():
     assert rep.details["min_count"] == int(counts.min())
 
 
+class Untouchable:
+    """Source that fails the test if any value is drawn from it."""
+
+    def outputs(self, k):
+        raise AssertionError("no value may be drawn")
+
+
+def test_serial_rejects_too_many_cells_before_drawing():
+    # 4096^2 = 2^24 cells would take 128 MiB per array; the bound applies
+    # before any array is allocated or any value drawn
+    with pytest.raises(ParameterError, match="cells"):
+        serial_pairs(Untouchable(), 4096, 100 * 4096)
+
+
 def test_serial_matches_direct_computation_and_chunking():
     arr = RandomSource(2).outputs(10001)          # odd n drops the last value
     rep = serial_pairs(arr, 4, 10001)

@@ -4,16 +4,15 @@ import pytest
 
 from aprng import welldoc
 from aprng.errors import ParameterError
-from aprng.morphic import (FIBONACCI, THUE_MORSE, TRIBONACCI, Morphism,
-                           fibonacci_stream, fixed_point_stream,
-                           tribonacci_stream)
+from aprng.morphic import (FIBONACCI, THUE_MORSE, TRIBONACCI, FixedPointStream,
+                           Morphism, fibonacci_stream, tribonacci_stream)
 from aprng.streams import CycleStream
 from aprng.welldoc import (COVERED, UNDETERMINED, WelldocQuery, preserves_welldoc,
                            welldoc_check, welldoc_scan)
 
 
 def thue_morse_stream():
-    return fixed_point_stream(THUE_MORSE, 0)
+    return FixedPointStream(THUE_MORSE, 0)
 
 
 def naive_vectors(u: bytes, factor: bytes, m: int, d: int):
@@ -163,7 +162,7 @@ def test_preservation_certificates():
 
 
 def three_letter_stream():
-    return fixed_point_stream(Morphism.from_text("0->01,1->20,2->1"), 0)
+    return FixedPointStream(Morphism.from_text("0->01,1->20,2->1"), 0)
 
 
 def cycle_stream():
