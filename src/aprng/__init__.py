@@ -37,9 +37,7 @@ from .morphic import (
 )
 from .arnoux_rauzy import (
     ArnouxRauzyStream,
-    BispecialChain,
     iterated_palindromic_closure,
-    next_bispecial,
     palindromic_closure,
 )
 from .rotation import (

@@ -28,19 +28,14 @@ from .streams import CycleStream, WordStream
 from .words import PrefixBuffer, as_word
 
 DIRECTIVE_CHECK_HORIZON = 1000
+_HEAD_CAP = 1 << 22         # letters a stream keeps materialized at most
 
 
 def _longest_palindromic_suffix_start(v: bytes) -> int:
     """Smallest s such that v[s:] is a palindrome."""
     n = len(v)
-    if n < 64:
-        for s in range(n):
-            seg = v[s:]
-            if seg == seg[::-1]:
-                return s
-        return n
-    # Rolling uint64 hashes make each candidate an O(1) check; a hash hit is
-    # confirmed by direct comparison, so collisions cannot leak through.
+    # Rolling uint64 hashes test every candidate suffix in one expression; a
+    # hash hit is confirmed by direct comparison, so collisions cannot leak.
     with np.errstate(over="ignore"):
         arr = np.frombuffer(v, dtype=np.uint8).astype(np.uint64)
         base = np.uint64(0x100000001B3)
@@ -51,12 +46,11 @@ def _longest_palindromic_suffix_start(v: bytes) -> int:
         np.cumsum(arr * pw[n - 1::-1], out=fwd[1:])
         rev = np.zeros(n + 1, dtype=np.uint64)      # sum v[j] * pw[j], j < i
         np.cumsum(arr * pw[:n], out=rev[1:])
-        full_f, full_r = fwd[n], rev[n]
-        for s in range(n):
-            if (full_f - fwd[s]) * pw[s] == full_r - rev[s]:
-                seg = v[s:]
-                if seg == seg[::-1]:
-                    return s
+        hits = np.flatnonzero((fwd[n] - fwd[:n]) * pw[:n] == rev[n] - rev[:n])
+    for s in hits.tolist():
+        seg = v[s:]
+        if seg == seg[::-1]:
+            return s
     return n
 
 
@@ -76,48 +70,6 @@ def iterated_palindromic_closure(delta) -> bytes:
     return w
 
 
-class BispecialChain:
-    """Materialized b_0 = epsilon, b_1, ... with Parikh vectors.
-
-    Meant for moderate scales where the actual words are wanted; the stream
-    below keeps only lengths and Parikh vectors once the words outgrow its
-    buffer.
-    """
-
-    def __init__(self, alphabet_size: int):
-        self.alphabet_size = alphabet_size
-        self.words: list[bytes] = [b""]
-        self.parikh_vectors: list[tuple[int, ...]] = [(0,) * alphabet_size]
-        self.last_occurrence: dict[int, int] = {}
-
-    @property
-    def steps(self) -> int:
-        return len(self.words) - 1
-
-
-def next_bispecial(chain: BispecialChain, letter: int) -> bytes:
-    """Apply one directive letter; returns and records b_{i+1}."""
-    if not 0 <= letter < chain.alphabet_size:
-        raise DirectiveError(
-            f"directive letter {letter} outside alphabet of size {chain.alphabet_size}")
-    i = chain.steps
-    b = chain.words[-1]
-    vec = list(chain.parikh_vectors[-1])
-    if letter not in b:
-        new = b + bytes([letter]) + b
-        vec = [2 * c for c in vec]
-        vec[letter] += 1
-    else:
-        j = chain.last_occurrence[letter]
-        bj = chain.words[j]
-        new = b + b[len(bj):]
-        vec = [2 * c - cj for c, cj in zip(vec, chain.parikh_vectors[j])]
-    chain.words.append(new)
-    chain.parikh_vectors.append(tuple(vec))
-    chain.last_occurrence[letter] = i
-    return new
-
-
 class ArnouxRauzyStream(WordStream):
     """Characteristic Arnoux-Rauzy word driven by a directive stream.
 
@@ -128,7 +80,7 @@ class ArnouxRauzyStream(WordStream):
     are inspected.
     """
 
-    def __init__(self, directive: WordStream, materialize_cap: int = 1 << 22):
+    def __init__(self, directive: WordStream):
         d = directive.alphabet_size
         super().__init__(d)
         if d < 2:
@@ -148,43 +100,38 @@ class ArnouxRauzyStream(WordStream):
             raise DirectiveError(f"letters {missing} {why}")
         self._dir_source = directive
         self._dir = directive.fork()
-        self._cap = materialize_cap
+        self._cap = _HEAD_CAP
         self._buf = bytearray()
         self._head = PrefixBuffer(b"", d)
         self._L: list[int] = [0]
-        self._steps: list[tuple[bool, int, int]] = []   # (is_new, letter, j)
+        self._steps: list[tuple[int, int]] = []     # (letter, j); j < 0: new
         self._P: list[tuple[int, ...]] = [(0,) * d]
         self._last: dict[int, int] = {}
-        self._present: set[int] = set()
 
     # -- chain growth ---------------------------------------------------
 
     def _extend_chain(self) -> None:
         letter = int(self._dir.take(1)[0])
-        i = len(self._steps)
         L_i = self._L[-1]
-        vec = list(self._P[-1])
-        if letter not in self._present:
-            self._steps.append((True, letter, -1))
-            self._L.append(2 * L_i + 1)
-            vec = [2 * c for c in vec]
+        j = self._last.get(letter, -1)
+        if j < 0:
+            L_next = 2 * L_i + 1
+            vec = [2 * c for c in self._P[-1]]
             vec[letter] += 1
-            appended = (bytes([letter]) + bytes(self._buf[:L_i])) if self._materialized(i) else None
         else:
-            j = self._last[letter]
-            Lj = self._L[j]
-            self._steps.append((False, letter, j))
-            self._L.append(2 * L_i - Lj)
-            vec = [2 * c - cj for c, cj in zip(vec, self._P[j])]
-            appended = bytes(self._buf[Lj:L_i]) if self._materialized(i) else None
+            L_next = 2 * L_i - self._L[j]
+            vec = [2 * c - cj for c, cj in zip(self._P[-1], self._P[j])]
+        # lengths grow strictly, so while b_{i+1} fits, b_i fills the buffer
+        if L_next <= self._cap:
+            if j < 0:
+                self._buf.append(letter)
+                self._buf += self._buf[:L_i]
+            else:
+                self._buf += self._buf[self._L[j]:L_i]
+        self._last[letter] = len(self._steps)
+        self._steps.append((letter, j))
+        self._L.append(L_next)
         self._P.append(tuple(vec))
-        self._last[letter] = i
-        self._present.add(letter)
-        if appended is not None and self._L[-1] <= self._cap:
-            self._buf.extend(appended)
-
-    def _materialized(self, upto_step: int) -> bool:
-        return len(self._buf) == self._L[upto_step]
 
     def _grow_to(self, target: int) -> None:
         # lengths grow strictly (2L+1, or 2L-L_j with L_j < L), so this ends
@@ -209,7 +156,7 @@ class ArnouxRauzyStream(WordStream):
             if self._L[i] <= len(self._buf):
                 sink.append(self._materialized_head().letters[lo:hi])
                 return
-            is_new, letter, j = self._steps[i - 1]
+            letter, j = self._steps[i - 1]
             Lp = self._L[i - 1]
             if hi <= Lp:
                 i -= 1
@@ -217,7 +164,7 @@ class ArnouxRauzyStream(WordStream):
             if lo < Lp:
                 self._emit(i - 1, lo, Lp, sink)
                 lo = Lp
-            if is_new:
+            if j < 0:
                 if lo == Lp:
                     sink.append(np.full(1, letter, dtype=np.uint8))
                     lo += 1
@@ -250,12 +197,12 @@ class ArnouxRauzyStream(WordStream):
             if p <= self._L[i - 1]:
                 i -= 1
                 continue
-            is_new, letter, j = self._steps[i - 1]
+            letter, j = self._steps[i - 1]
             Lp = self._L[i - 1]
             vec = self._P[i - 1]
             for a in range(self._d):
                 counts[a] += vec[a]
-            if is_new:
+            if j < 0:
                 counts[letter] += 1
                 p = p - Lp - 1
             else:
@@ -268,7 +215,7 @@ class ArnouxRauzyStream(WordStream):
         return tuple(c + t for c, t in zip(counts, tail))
 
     def fork(self) -> "ArnouxRauzyStream":
-        return ArnouxRauzyStream(self._dir_source, self._cap)
+        return ArnouxRauzyStream(self._dir_source)
 
     def __repr__(self) -> str:
         return f"ArnouxRauzyStream({self._dir_source!r})"

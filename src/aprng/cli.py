@@ -138,7 +138,9 @@ def _cmd_welldoc(args) -> int:
 
 def _cmd_lattice(args) -> int:
     gen = _make_gen(args)
-    scale = args.scale or getattr(gen, "out_range", None) or 1 << 32
+    scale = args.scale
+    if scale is None:
+        scale = getattr(gen, "out_range", None) or 1 << 32
     tuples = consecutive_tuples(gen, args.sample, args.t)
     result = {
         "generator": args.spec,
@@ -279,7 +281,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

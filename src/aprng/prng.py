@@ -260,14 +260,14 @@ class ShuffledPrng:
         return int(self.outputs(1)[0])
 
     def warm_up(self, n: int = 10 ** 9) -> None:
-        """Skip n outputs in O(log n): each source jumps by the number of
+        """Skip n outputs in O(log n): each source warms up by the number of
         times its steering letter occurs in the skipped stretch."""
         pos = self.steering.position
         before = self.steering.prefix_parikh(pos)
         after = self.steering.prefix_parikh(pos + n)
         for a, src in enumerate(self.sources):
             delta = after[a] - before[a]
-            src.jump(delta)
+            src.warm_up(delta)
             self.counters[a] += delta
         self.steering.seek(pos + n)
 

@@ -25,9 +25,12 @@ _BLOCK = 1 << 16        # letters per exactly computed block base
 
 
 def _squarefree_split(D: int) -> tuple[int, int]:
-    """D = s^2 * D0 with D0 squarefree; returns (s, D0)."""
-    if D < 0:
-        raise ValueError("radicand must be >= 0")
+    """D = s^2 * D0 with D0 squarefree; returns (s, D0).
+
+    Trial division runs up to sqrt(D), so D is bounded by 2^32.
+    """
+    if not 0 <= D < 1 << 32:
+        raise ValueError(f"radicand {D} outside 0..2^32-1")
     s = 1
     f = 2
     while f * f <= D:

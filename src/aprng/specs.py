@@ -94,16 +94,17 @@ _QI_RATIONAL = re.compile(r"\((-?\d+)\)/(\d+)\Z")
 
 def parse_quadratic(text: str, *, pos: int | None = None) -> QuadraticIrrational:
     s = text.strip()
-    m = _QI_FULL.match(s)
-    if m:
-        return QuadraticIrrational(int(m.group(1)), int(m.group(2)),
-                                   int(m.group(4)), int(m.group(3)))
-    m = _QI_RATIONAL.match(s)
-    if m:
-        return QuadraticIrrational.from_rational(Fraction(int(m.group(1)),
-                                                          int(m.group(2))))
-    raise SpecParseError(
-        f"expected (a+b*sqrt(D))/c or (a)/c, got {text!r}", text, pos)
+    if m := _QI_FULL.match(s):
+        p, q, D, r = map(int, m.groups())
+    elif m := _QI_RATIONAL.match(s):
+        p, r = map(int, m.groups())
+        q, D = 0, 1
+    else:
+        raise SpecParseError(
+            f"expected (a+b*sqrt(D))/c or (a)/c, got {text!r}", text, pos)
+    if r == 0:
+        raise SpecParseError(f"zero denominator in {text!r}", text, pos)
+    return QuadraticIrrational(p, q, r, D)
 
 
 def format_quadratic(x: QuadraticIrrational) -> str:

@@ -1,10 +1,10 @@
 """Uniform interface over infinite words.
 
 A WordStream yields letters of a fixed infinite word over 0..d-1.  Concrete
-streams implement block production and absolute repositioning; the base class
-provides skipping, single-letter reads, prefix materialization and an exact
-Parikh-of-prefix fallback.  Streams are single-cursor objects: fork() hands
-out an independent stream of the same word positioned at 0.
+streams implement block production, absolute repositioning and exact
+Parikh vectors of prefixes; the base class provides skipping, single-letter
+reads and prefix materialization.  Streams are single-cursor objects: fork()
+hands out an independent stream of the same word positioned at 0.
 """
 from __future__ import annotations
 
@@ -77,20 +77,9 @@ class WordStream(ABC):
         """Materialize the first n letters without disturbing this cursor."""
         return PrefixBuffer(self.fork().take(n), self._d, source=repr(self))
 
+    @abstractmethod
     def prefix_parikh(self, n: int) -> tuple[int, ...]:
-        """Exact Parikh vector of the first n letters.
-
-        Default counts a fresh fork chunk by chunk; subclasses override with
-        closed-form or structural computations where those exist.
-        """
-        s = self.fork()
-        counts = np.zeros(self._d, dtype=object)
-        left = n
-        while left > 0:
-            block = s.take(min(left, 1 << 20))
-            counts += np.bincount(block, minlength=self._d)
-            left -= block.size
-        return tuple(int(c) for c in counts)
+        """Exact Parikh vector of the first n letters."""
 
 
 class CycleStream(WordStream):

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from aprng.arnoux_rauzy import BispecialChain, next_bispecial, palindromic_closure
+from aprng.arnoux_rauzy import ArnouxRauzyStream, palindromic_closure
 from aprng.cli import main
 from aprng.lattice import consecutive_tuples, plane_count, search_normals
 from aprng.morphic import (FIBONACCI, Morphism, THUE_MORSE, FixedPointStream,
@@ -18,6 +18,7 @@ from aprng.morphic import (FIBONACCI, Morphism, THUE_MORSE, FixedPointStream,
 from aprng.prng import ShuffledPrng, named_lcg
 from aprng.rotation import fibonacci_rotation
 from aprng.stats import ConstantSource, RandomSource, chi_square_equidist
+from aprng.streams import CycleStream
 from aprng.welldoc import COVERED, WelldocQuery, welldoc_check, welldoc_scan
 
 FIB32 = "01001010010010100101001001010010"
@@ -165,21 +166,22 @@ def test_criterion_08_rotation_matches_morphic(capsys):
 
 
 def _check_bispecial_chain(directive: list[int], d: int) -> None:
-    chain = BispecialChain(d)
+    # the appended letters make the directive valid and leave the first
+    # len(directive) bispecial prefixes b_i unchanged
+    s = ArnouxRauzyStream(CycleStream(bytes(directive) + bytes(range(d))))
     words = [b""]
+    vectors = [(0,) * d]
     for i, letter in enumerate(directive):
-        got = next_bispecial(chain, letter)
         expect = palindromic_closure(words[-1] + bytes([letter]))
-        assert got == expect, (directive[:i + 1], d)
-        words.append(expect)
-        assert chain.parikh_vectors[-1] == tuple(
-            expect.count(bytes([a])) for a in range(d))
+        s.seek(0)
+        assert bytes(s.take(len(expect))) == expect, (directive[:i + 1], d)
+        vec = s.prefix_parikh(len(expect))
+        assert vec == tuple(expect.count(bytes([a])) for a in range(d))
         if letter in words[i]:
             j = max(k for k in range(i) if directive[k] == letter)
-            left = chain.parikh_vectors[i + 1]
-            mid = chain.parikh_vectors[i]
-            right = chain.parikh_vectors[j]
-            assert left == tuple(2 * b - bj for b, bj in zip(mid, right))
+            assert vec == tuple(2 * b - bj for b, bj in zip(vectors[i], vectors[j]))
+        words.append(expect)
+        vectors.append(vec)
 
 
 def test_criterion_09_closure_equivalence_and_parikh_recurrence(capsys):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aprng.arnoux_rauzy import (ArnouxRauzyStream, BispecialChain,
-                                iterated_palindromic_closure, next_bispecial,
+from aprng import arnoux_rauzy
+from aprng.arnoux_rauzy import (ArnouxRauzyStream, iterated_palindromic_closure,
                                 palindromic_closure)
 from aprng.errors import DirectiveError
 from aprng.morphic import (FixedPointStream, Morphism, fibonacci_stream,
@@ -48,27 +48,23 @@ def test_iterated_closure_builds_tribonacci_prefixes():
     assert bytes(tribonacci_stream().take(len(w))) == w
 
 
-def test_next_bispecial_matches_closure_oracle():
+def test_bispecial_prefixes_match_closure_oracle():
     rng = random.Random(11)
     cases = [bytes([0, 1] * 10), bytes([0, 1, 2] * 7)]
     for _ in range(60):
         d = rng.randint(2, 4)
         cases.append(bytes(rng.randrange(d) for _ in range(rng.randint(1, 20))))
     for directive in cases:
-        d = max(directive) + 1
-        chain = BispecialChain(d)
+        d = max(2, max(directive) + 1)
+        # the appended letters make the directive valid and leave the first
+        # len(directive) bispecial prefixes b_i unchanged
+        s = ArnouxRauzyStream(CycleStream(directive + bytes(range(d))))
         oracle = b""
         for a in directive:
-            got = next_bispecial(chain, a)
             oracle = palindromic_closure(oracle + bytes([a]))
-            assert got == oracle
-            assert chain.parikh_vectors[-1] == parikh(oracle, d)
-
-
-def test_next_bispecial_rejects_out_of_range_letter():
-    chain = BispecialChain(2)
-    with pytest.raises(DirectiveError):
-        next_bispecial(chain, 2)
+            s.seek(0)
+            assert bytes(s.take(len(oracle))) == oracle
+            assert s.prefix_parikh(len(oracle)) == parikh(oracle, d)
 
 
 def test_ar_stream_fibonacci_and_tribonacci():
@@ -155,31 +151,33 @@ def test_fixed_point_directive_is_checked_exactly():
     assert set(bytes(ArnouxRauzyStream(fibonacci_stream()).take(100))) == {0, 1}
 
 
-def bispecial_chain(pattern: bytes, min_len: int) -> BispecialChain:
-    chain = BispecialChain(max(pattern) + 1)
-    i = 0
-    while len(chain.words[-1]) < min_len:
-        next_bispecial(chain, pattern[i % len(pattern)])
-        i += 1
-    return chain
+def closure_chain(pattern: bytes, min_len: int) -> list[bytes]:
+    """b_0 = epsilon, b_1, ... by palindromic closure, until |b_i| >= min_len."""
+    words = [b""]
+    while len(words[-1]) < min_len:
+        a = pattern[(len(words) - 1) % len(pattern)]
+        words.append(palindromic_closure(words[-1] + bytes([a])))
+    return words
 
 
 @pytest.mark.parametrize("pattern", ["01", "012"])
 @pytest.mark.parametrize("cap", [5000, 1 << 22])
-def test_far_access_around_the_materialized_head(pattern, cap):
+def test_far_access_around_the_materialized_head(pattern, cap, monkeypatch):
     from aprng.rotation import fibonacci_rotation, rotation_letter
     pattern = as_word(pattern)
-    chain = bispecial_chain(pattern, max(cap + 1, 1 << 20))
-    oracle = chain.words[-1]
+    words = closure_chain(pattern, max(cap + 1, 1 << 20))
+    oracle = words[-1]
     d = len(pattern)
-    buf_len = max(len(w) for w in chain.words if len(w) <= cap)
+    buf_len = max(len(w) for w in words if len(w) <= cap)
     positions = {buf_len + e for e in (-1, 0, 1)}
     positions.update(k * 1024 + e for k in (1, 2, 3, 4, 1024) for e in (-1, 0, 1))
     rng = random.Random(cap)
     positions.update(int(10 ** rng.uniform(0, 15)) for _ in range(40))
     positions.add(10 ** 15)
-    s = ArnouxRauzyStream(CycleStream(pattern), materialize_cap=cap)
-    ref = ArnouxRauzyStream(CycleStream(pattern), materialize_cap=1 << 12)
+    monkeypatch.setattr(arnoux_rauzy, "_HEAD_CAP", 1 << 12)
+    ref = ArnouxRauzyStream(CycleStream(pattern))
+    monkeypatch.setattr(arnoux_rauzy, "_HEAD_CAP", cap)
+    s = ArnouxRauzyStream(CycleStream(pattern))
     coding = fibonacci_rotation().coding
     for pos in sorted(positions):
         letter = s.letter_at(pos)
@@ -194,5 +192,5 @@ def test_far_access_around_the_materialized_head(pattern, cap):
             assert letter == rotation_letter(coding, pos)
         assert (ref.letter_at(pos), bytes(ref.take(8)), ref.prefix_parikh(pos)) \
             == (letter, follow, before), pos
-    for w, vec in zip(chain.words, chain.parikh_vectors):
-        assert s.prefix_parikh(len(w)) == vec
+    for w in words:
+        assert s.prefix_parikh(len(w)) == parikh(w, d)

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -314,3 +315,53 @@ def test_periodic_ar_directive_is_rejected(capsys):
     assert err.startswith("error: ") and "finitely often" in err
     rc, out, _ = run(capsys, "word", "ar:morphic:0->01,1->0:0", "--count", "8")
     assert rc == 0 and out == "01001001\n"
+
+
+def test_nested_shuffle_runs_under_default_warmup(capsysbinary):
+    rc = main(["gen", "shuffle:fib:(shuffle:fib:l64_28,l64_32),l64_39",
+               "--count", "4"])
+    out, err = capsysbinary.readouterr()
+    assert rc == 0 and err == b"" and len(out) == 16
+
+
+def test_rotation_zero_denominator_is_rejected(capsys):
+    for spec in ["rot:(3-1*sqrt(5))/0:(0)/1", "rot:(3-1*sqrt(5))/2:(0)/0"]:
+        rc, out, err = run(capsys, "word", spec, "--count", "8")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and "zero denominator" in err
+
+
+def test_rotation_huge_radicand_is_rejected_quickly():
+    spec = "rot:(3-1*sqrt(100000000000000000000000000000003))/2:(0)/1"
+    out = subprocess.run(
+        [sys.executable, "-m", "aprng.cli", "word", spec, "--count", "8"],
+        capture_output=True, text=True, timeout=30)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and "radicand" in out.stderr
+
+
+def test_unwritable_word_output_is_an_error(capsys, tmp_path):
+    rc, out, err = run(capsys, "word", "fib", "--out",
+                       str(tmp_path / "missing" / "x"))
+    assert rc == 2 and out == "" and err.startswith("error: ")
+
+
+def test_unwritable_lattice_dump_is_an_error(capsys, tmp_path):
+    rc, out, err = run(capsys, "lattice", "randu", "--warmup", "0",
+                       "--sample", "1000", "--dump",
+                       str(tmp_path / "missing" / "x.csv"))
+    assert rc == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_is_an_error(capsys):
+    rc, out, err = run(capsys, "word", "fib", "--raw", "--count", "1e6",
+                       "--out", "/dev/full")
+    assert rc == 2 and out == "" and err.startswith("error: ")
+
+
+def test_lattice_scale_zero_is_rejected(capsys):
+    rc, out, err = run(capsys, "lattice", "randu", "--warmup", "0",
+                       "--sample", "1000", "--normal", "9,-6,1",
+                       "--scale", "0")
+    assert rc == 2 and out == "" and err.startswith("error: ")

@@ -222,6 +222,13 @@ def test_shuffle_warm_up_equals_brute_force():
     assert tuple(z1.counters) == fibonacci_stream().prefix_parikh(10 ** 4 + 200)
 
 
+def test_nested_shuffle_warm_up_equals_brute_force():
+    spec = parse_gen_spec("shuffle:fib:(shuffle:fib:l64_28,l64_32),l64_39")
+    z1, z2 = spec.build(), spec.build()
+    z1.warm_up(5000)
+    assert np.array_equal(z1.outputs(100), z2.outputs(5100)[5000:])
+
+
 def test_shuffle_validation():
     with pytest.raises(AlphabetError):
         ShuffledPrng(fibonacci_stream(), [named_lcg("l64_39")])
