@@ -461,9 +461,9 @@ TRIBONACCI = Morphism(["01", "02", "0"])
 THUE_MORSE = Morphism(["01", "10"])
 
 
-def fibonacci_stream(block_cap: int = DEFAULT_BLOCK_CAP) -> FixedPointStream:
-    return FixedPointStream(FIBONACCI, 0, block_cap)
+def fibonacci_stream() -> FixedPointStream:
+    return FixedPointStream(FIBONACCI, 0)
 
 
-def tribonacci_stream(block_cap: int = DEFAULT_BLOCK_CAP) -> FixedPointStream:
-    return FixedPointStream(TRIBONACCI, 0, block_cap)
+def tribonacci_stream() -> FixedPointStream:
+    return FixedPointStream(TRIBONACCI, 0)

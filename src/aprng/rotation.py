@@ -1,18 +1,21 @@
 """Sturmian words as exact rotation codings.
 
-Numbers of the form (p + q*sqrt(D))/r are kept in canonical integer form and
-compared exactly by isolating the root and squaring with tracked signs, so
-letter decisions never touch floating point.  The coding of the rotation by
-alpha with intercept rho writes letter 0 when the orbit point {rho + n*alpha}
-falls in the long interval of length 1-alpha and letter 1 otherwise; the two
-half-open conventions differ only when an orbit point hits the split exactly.
-Streams produce letters from a 64-bit fixed-point phase whose error is
-bounded per block; the few positions inside that bound of a decision point
-fall back to the exact comparison.
+Numbers of the form (p + q*sqrt(D))/r are kept in canonical integer form,
+compared exactly by isolating the root and squaring with tracked signs, and
+floored exactly with integer square roots, so letter decisions never touch
+floating point.  The coding of the rotation by alpha with intercept rho
+writes letter 0 when the orbit point {rho + n*alpha} falls in the long
+interval of length 1-alpha and letter 1 otherwise; the two half-open
+conventions differ only when an orbit point hits the split exactly.  Letter
+n is the step floor(rho + (n+1)*alpha) - floor(rho + n*alpha), with ceilings
+for the right convention.  Streams produce letters from a 64-bit fixed-point
+phase whose error is bounded per block; the few positions inside that bound
+of a decision point are settled by that exact floor rule.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, gcd, isqrt
 
 from .errors import FieldMismatchError
@@ -24,6 +27,7 @@ _ONE = 1 << 64          # fixed-point scale of the phase
 _BLOCK = 1 << 16        # letters per exactly computed block base
 
 
+@lru_cache
 def _squarefree_split(D: int) -> tuple[int, int]:
     """D = s^2 * D0 with D0 squarefree; returns (s, D0).
 
@@ -227,16 +231,20 @@ class RotationCoding:
                 f"convention={self.convention!r})")
 
 
+def _edge(coding: RotationCoding, n: int) -> int:
+    """floor(rho + n*alpha) for the left convention, its ceiling for the right.
+
+    Left: letter 1 means {x} >= 1-alpha, exactly when floor(x + alpha) =
+    floor(x) + 1.  Right: letter 1 means {x} > 1-alpha or {x} = 0, exactly
+    when ceil(x + alpha) = ceil(x) + 1.
+    """
+    x = coding.rho + coding.alpha * n
+    return floor(x) if coding.convention == "left" else -floor(-x)
+
+
 def rotation_letter(coding: RotationCoding, n: int) -> int:
     """Letter s(n) of the coding: 0 on the long interval, 1 on the short one."""
-    f = (coding.rho + coding.alpha * n).frac()
-    boundary = QuadraticIrrational.from_rational(1) - coding.alpha
-    cmp = f.compare(boundary)
-    if coding.convention == "left":
-        return 1 if cmp >= 0 else 0
-    if f.p == 0 and f.q == 0:       # orbit value 0 reads as 1 in (0, 1]
-        return 1
-    return 1 if cmp > 0 else 0
+    return _edge(coding, n + 1) - _edge(coding, n)
 
 
 class RotationStream(WordStream):
@@ -249,7 +257,7 @@ class RotationStream(WordStream):
     x_i >= 2^64 - A.  The positions whose interval reaches across the split
     point 1 - alpha, or across 0 (where a phase just below 1 reads 1 and one
     that wrapped reads 0, and the right convention reads exactly 0 as 1),
-    are decided by the exact comparison of rotation_letter.
+    are decided by the exact floor rule of rotation_letter.
     """
 
     def __init__(self, coding: RotationCoding):
@@ -264,7 +272,7 @@ class RotationStream(WordStream):
 
     def _produce(self, n: int) -> np.ndarray:
         if n == 1:
-            # one letter: the exact comparison costs less than a numpy block
+            # one letter: the exact floor rule costs less than a numpy block
             return np.array([rotation_letter(self.coding, self._pos)],
                             dtype=np.uint8)
         out = np.empty(n, dtype=np.uint8)
@@ -282,17 +290,9 @@ class RotationStream(WordStream):
         return out
 
     def prefix_parikh(self, n: int) -> tuple[int, ...]:
-        """Exact letter counts of the first n letters via floor telescoping."""
-        if n == 0:
-            return (0, 0)
-        rho, alpha = self.coding.rho, self.coding.alpha
-        end = rho + alpha * n
-        if self.coding.convention == "left":
-            ones = end.__floor__() - rho.__floor__()
-        else:
-            # letter'_k = 1 iff the orbit leaves (0,1] through the top:
-            # telescoping with ceilings
-            ones = -((-end).__floor__()) - -((-rho).__floor__())
+        """Exact letter counts of the first n letters: the letter steps of
+        _edge telescope."""
+        ones = _edge(self.coding, n) - _edge(self.coding, 0)
         return (n - ones, ones)
 
     def fork(self) -> "RotationStream":

@@ -57,7 +57,7 @@ __all__ = [
 _POWER = re.compile(r"(\d+)\^(\d+)([+-]\d+)?\Z")
 
 
-def parse_number(text: str, *, where: str = "", pos: int | None = None) -> int:
+def parse_number(text: str, *, where: str = "") -> int:
     """Nonnegative integer from ``2^31``, ``2^47-115``, ``1e6``, or decimal."""
     s = text.strip()
     m = _POWER.match(s)
@@ -74,8 +74,7 @@ def parse_number(text: str, *, where: str = "", pos: int | None = None) -> int:
         return int(v)
     raise SpecParseError(
         f"expected a number (like 1000000, 2^31, 2^47-115, or 1e6)"
-        f"{' for ' + where if where else ''}, got {text!r}",
-        text, pos)
+        f"{' for ' + where if where else ''}, got {text!r}", text)
 
 
 def format_number(n: int) -> str:
@@ -92,7 +91,7 @@ _QI_FULL = re.compile(r"\((-?\d+)([+-]\d+)\*sqrt\((\d+)\)\)/(\d+)\Z")
 _QI_RATIONAL = re.compile(r"\((-?\d+)\)/(\d+)\Z")
 
 
-def parse_quadratic(text: str, *, pos: int | None = None) -> QuadraticIrrational:
+def parse_quadratic(text: str) -> QuadraticIrrational:
     s = text.strip()
     if m := _QI_FULL.match(s):
         p, q, D, r = map(int, m.groups())
@@ -101,9 +100,9 @@ def parse_quadratic(text: str, *, pos: int | None = None) -> QuadraticIrrational
         q, D = 0, 1
     else:
         raise SpecParseError(
-            f"expected (a+b*sqrt(D))/c or (a)/c, got {text!r}", text, pos)
+            f"expected (a+b*sqrt(D))/c or (a)/c, got {text!r}", text)
     if r == 0:
-        raise SpecParseError(f"zero denominator in {text!r}", text, pos)
+        raise SpecParseError(f"zero denominator in {text!r}", text)
     return QuadraticIrrational(p, q, r, D)
 
 
@@ -289,9 +288,11 @@ FIB_SPEC = MorphicSpec(FIBONACCI, 0)
 TRIB_SPEC = MorphicSpec(TRIBONACCI, 0)
 FIB2_SPEC = InterleaveSpec(2, FIB_SPEC)
 
-_WORD_HEADS = ("fib2", "fib", "trib", "morphism", "ar", "rot",
-               "merge", "interleave")
+_NAMED_WORDS = {"fib2": FIB2_SPEC, "fib": FIB_SPEC, "trib": TRIB_SPEC}
+_WORD_HEADS = (*_NAMED_WORDS, "morphism", "ar", "rot", "merge", "interleave")
 _LCG_KEYS = ("m", "a", "c", "seed")
+_LCG_NEXT = re.compile(",(%s)=" % "|".join(_LCG_KEYS))   # another key=value
+_MAX_NESTING = 64       # words and generators one inside another
 
 
 # --------------------------------------------------------------------------
@@ -326,113 +327,97 @@ class _Cursor:
         raise SpecParseError(msg, self.text, self.pos)
 
 
-def _parse_word(cur: _Cursor) -> WordSpec:
+def _field(cur: _Cursor, hint: str, parse, stops: str = ":", sep: str = ":"):
+    """``sep`` then the segment up to a stop character, passed to ``parse``;
+    its errors are placed at the segment's offset in the whole descriptor."""
+    cur.eat(sep, hint)
     start = cur.pos
-    head = cur.segment(":,")
-    if head == "fib":
-        return FIB_SPEC
-    if head == "trib":
-        return TRIB_SPEC
-    if head == "fib2":
-        return FIB2_SPEC
-    if head == "morphism":
-        phi = _parse_rules(cur)
-        seed = _optional_segment(cur, str.isdigit)
-        return MorphicSpec(phi, 0 if seed is None else int(seed))
-    if head == "ar":
-        cur.eat(":", "then 'cycle' or 'morphic'")
-        kind = cur.segment(":")
-        if kind == "cycle":
-            cur.eat(":", "then directive digits like 012")
-            pat_pos = cur.pos
-            digits = cur.segment(":,")
-            if not digits.isdigit():
-                cur.pos = pat_pos
-                cur.error(f"directive pattern must be digits, got {digits!r}")
-            return ArCycleSpec(bytes(int(ch) for ch in digits))
-        if kind == "morphic":
-            phi = _parse_rules(cur)
-            cur.eat(":", "then the directive seed letter")
-            seed_pos = cur.pos
-            seed = cur.segment(":,")
-            if not seed.isdigit():
-                cur.pos = seed_pos
-                cur.error(f"seed letter must be a digit, got {seed!r}")
-            return ArMorphicSpec(phi, int(seed))
-        cur.pos = start
-        cur.error(f"after 'ar:' expected 'cycle' or 'morphic', got {kind!r}")
-    if head == "rot":
-        cur.eat(":", "then the angle (a+b*sqrt(D))/c")
-        a_pos = cur.pos
-        alpha = parse_quadratic(cur.segment(":"), pos=a_pos)
-        cur.eat(":", "then the starting point (a+b*sqrt(D))/c")
-        r_pos = cur.pos
-        rho = parse_quadratic(cur.segment(":"), pos=r_pos)
-        convention = _optional_segment(cur, ("left", "right").__contains__)
-        return RotationSpec(alpha, rho, convention or "left")
-    if head == "merge":
-        cur.eat(":", "then the digit map like 010")
-        map_pos = cur.pos
-        digits = cur.segment(":")
-        if not digits.isdigit():
-            cur.pos = map_pos
-            cur.error(f"letter map must be digits, got {digits!r}")
-        cur.eat(":", "then the inner word")
-        return MergeSpec(tuple(int(ch) for ch in digits), _parse_word(cur))
-    if head == "interleave":
-        cur.eat(":", "then the fresh letter")
-        n_pos = cur.pos
-        letter = cur.segment(":")
-        if not letter.isdigit():
-            cur.pos = n_pos
-            cur.error(f"interleave letter must be a digit, got {letter!r}")
-        cur.eat(":", "then the inner word")
-        return InterleaveSpec(int(letter), _parse_word(cur))
-    cur.pos = start
-    cur.error(f"unknown word form {head!r}; expected one of {_WORD_HEADS}")
-
-
-def _parse_rules(cur: _Cursor) -> Morphism:
-    """':' then morphism rules up to the next ':', with errors placed in
-    the whole descriptor."""
-    cur.eat(":", "then rules like 0->01,1->0")
-    rule_pos = cur.pos
-    rules = cur.segment(":")
+    segment = cur.segment(stops)
     try:
-        return Morphism(parse_morphism_rules(rules))
+        return parse(segment)
     except SpecParseError as e:
         raise SpecParseError(e.message, cur.text,
-                             rule_pos + (e.pos or 0)) from None
+                             start + (e.pos or 0)) from None
     except ValueError as e:
-        raise SpecParseError(str(e), cur.text, rule_pos) from None
+        raise SpecParseError(str(e), cur.text, start) from None
 
 
-def _optional_segment(cur: _Cursor, accept) -> str | None:
-    """Consume ``:<segment>`` if present and ``accept(segment)``; otherwise
-    leave the cursor alone."""
-    if cur.peek() != ":":
-        return None
+def _optional_field(cur: _Cursor, accept) -> str | None:
+    """``:<segment>`` if present and ``accept(segment)``; otherwise None,
+    with the cursor left alone."""
     save = cur.pos
-    cur.pos += 1
-    seg = cur.segment(":,")
-    if accept(seg):
+    if cur.peek() == ":" and accept(seg := _field(cur, "", str, ":,")):
         return seg
     cur.pos = save
     return None
 
 
-def _parse_gen(cur: _Cursor) -> GenSpec:
-    if cur.peek() == "(":
+def _digits(message: str):
+    """Segment reader that keeps only a string of digits."""
+    def read(segment: str) -> str:
+        if not segment.isdigit():
+            raise ValueError(f"{message}, got {segment!r}")
+        return segment
+    return read
+
+
+def _parse_word(cur: _Cursor, depth: int = 1) -> WordSpec:
+    if depth > _MAX_NESTING:
+        cur.error(f"words and generators nest deeper than {_MAX_NESTING}")
+    start = cur.pos
+    head = cur.segment(":,")
+    if head in _NAMED_WORDS:
+        return _NAMED_WORDS[head]
+    if head == "morphism":
+        phi = _field(cur, "then rules like 0->01,1->0", Morphism.from_text)
+        seed = _optional_field(cur, str.isdigit)
+        return MorphicSpec(phi, 0 if seed is None else int(seed))
+    if head == "ar":
+        kind = _field(cur, "then 'cycle' or 'morphic'", str)
+        if kind == "cycle":
+            digits = _field(cur, "then directive digits like 012",
+                            _digits("directive pattern must be digits"), ":,")
+            return ArCycleSpec(bytes(int(ch) for ch in digits))
+        if kind == "morphic":
+            phi = _field(cur, "then rules like 0->01,1->0", Morphism.from_text)
+            seed = _field(cur, "then the directive seed letter",
+                          _digits("seed letter must be a digit"), ":,")
+            return ArMorphicSpec(phi, int(seed))
+        cur.pos = start
+        cur.error(f"after 'ar:' expected 'cycle' or 'morphic', got {kind!r}")
+    if head == "rot":
+        alpha = _field(cur, "then the angle (a+b*sqrt(D))/c", parse_quadratic)
+        rho = _field(cur, "then the starting point (a+b*sqrt(D))/c",
+                     parse_quadratic)
+        convention = _optional_field(cur, ("left", "right").__contains__)
+        return RotationSpec(alpha, rho, convention or "left")
+    if head == "merge":
+        digits = _field(cur, "then the digit map like 010",
+                        _digits("letter map must be digits"))
+        cur.eat(":", "then the inner word")
+        return MergeSpec(tuple(int(ch) for ch in digits),
+                         _parse_word(cur, depth + 1))
+    if head == "interleave":
+        letter = _field(cur, "then the fresh letter",
+                        _digits("interleave letter must be a digit"))
+        cur.eat(":", "then the inner word")
+        return InterleaveSpec(int(letter), _parse_word(cur, depth + 1))
+    cur.pos = start
+    cur.error(f"unknown word form {head!r}; expected one of {_WORD_HEADS}")
+
+
+def _parse_gen(cur: _Cursor, depth: int = 1) -> GenSpec:
+    if depth > _MAX_NESTING:
+        cur.error(f"words and generators nest deeper than {_MAX_NESTING}")
+    groups = 0
+    while cur.peek() == "(":        # a grouped generator is not a new level
         cur.pos += 1
-        inner = _parse_gen(cur)
-        cur.eat(")", "closing the grouped generator")
-        return inner
+        groups += 1
     start = cur.pos
     head = cur.segment(":,)")
     if head in NAMED_LCGS:
-        m, a, c = NAMED_LCGS[head]
-        return LcgSpec(m, a, c)
-    if head == "lcg":
+        gen = LcgSpec(*NAMED_LCGS[head])
+    elif head == "lcg":
         cur.eat(":", "then parameters m=...,a=...,c=...")
         params: dict[str, int] = {}
         while True:
@@ -447,39 +432,33 @@ def _parse_gen(cur: _Cursor) -> GenSpec:
             if key in params:
                 cur.pos = key_pos
                 cur.error(f"duplicate lcg parameter {key!r}")
-            cur.pos += 1
-            val_pos = cur.pos
-            params[key] = parse_number(cur.segment(",:)"),
-                                       where=key, pos=val_pos)
-            if cur.peek() != ",":
+            params[key] = _field(cur, "", lambda v: parse_number(v, where=key),
+                                 ",:)", "=")
+            if not _LCG_NEXT.match(cur.text, cur.pos):
                 break
-            save = cur.pos
             cur.pos += 1
-            probe_pos = cur.pos
-            probe = cur.segment("=,:)")
-            is_kv = cur.peek() == "=" and probe in _LCG_KEYS
-            cur.pos = probe_pos
-            if not is_kv:
-                cur.pos = save
-                break
         missing = [k for k in ("m", "a", "c") if k not in params]
         if missing:
             cur.pos = start
             cur.error(f"lcg spec missing parameters {missing}")
-        return LcgSpec(params["m"], params["a"], params["c"],
-                       params.get("seed", 1))
-    if head == "shuffle":
+        gen = LcgSpec(params["m"], params["a"], params["c"],
+                      params.get("seed", 1))
+    elif head == "shuffle":
         cur.eat(":", "then the steering word")
-        word = _parse_word(cur)
+        word = _parse_word(cur, depth + 1)
         cur.eat(":", "then a comma separated generator list")
-        gens = [_parse_gen(cur)]
+        gens = [_parse_gen(cur, depth + 1)]
         while cur.peek() == ",":
             cur.pos += 1
-            gens.append(_parse_gen(cur))
-        return ShuffleSpec(word, tuple(gens))
-    cur.pos = start
-    cur.error(f"unknown generator {head!r}; expected 'lcg:...', "
-              f"'shuffle:...', or one of {sorted(NAMED_LCGS)}")
+            gens.append(_parse_gen(cur, depth + 1))
+        gen = ShuffleSpec(word, tuple(gens))
+    else:
+        cur.pos = start
+        cur.error(f"unknown generator {head!r}; expected 'lcg:...', "
+                  f"'shuffle:...', or one of {sorted(NAMED_LCGS)}")
+    for _ in range(groups):
+        cur.eat(")", "closing the grouped generator")
+    return gen
 
 
 def parse_word_spec(text: str) -> WordSpec:

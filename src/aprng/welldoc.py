@@ -262,14 +262,13 @@ class PreservationCertificate:
         return self.preserved
 
 
-def preserves_welldoc(phi, m: int = 2) -> PreservationCertificate:
+def preserves_welldoc(phi) -> PreservationCertificate:
     """Does applying the morphism keep well-distributed occurrences?
 
     Two sufficient criteria: the incidence matrix has determinant +-1, or the
     morphism only renames letters onto a strictly smaller alphabet.  Both are
-    uniform in the modulus, so ``m`` does not change the answer; it names the
-    question being asked.  A False result means no guarantee from these
-    criteria, not a refutation.
+    uniform in the modulus, so the answer holds for every m.  A False result
+    means no guarantee from these criteria, not a refutation.
     """
     det = phi.determinant()
     if det in (1, -1):

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import AlphabetError, InsufficientPrefixError
 
 MAX_ALPHABET = 16
+_STRIDE = 1024          # letters between a PrefixBuffer's Parikh checkpoints
 
 Word = bytes
 
@@ -167,31 +168,27 @@ def factor_complexity(p, n: int) -> int:
 class PrefixBuffer:
     """Immutable materialized prefix of an infinite word.
 
-    Keeps a cumulative Parikh checkpoint every ``stride`` letters so a
-    Parikh-of-prefix query costs one rescan of at most ``stride`` letters.
+    Keeps a cumulative Parikh checkpoint every _STRIDE letters so a
+    Parikh-of-prefix query costs one rescan of at most _STRIDE letters.
     """
 
-    def __init__(self, letters, alphabet_size: int, source: str = "",
-                 stride: int = 1024):
+    def __init__(self, letters, alphabet_size: int, source: str = ""):
         arr = _letters_of(letters)
         if arr.size and int(arr.max()) >= alphabet_size:
             raise AlphabetError(
                 f"letter {int(arr.max())} outside alphabet of size {alphabet_size}")
         if not 1 <= alphabet_size <= MAX_ALPHABET:
             raise AlphabetError(f"alphabet size {alphabet_size} not in 1..{MAX_ALPHABET}")
-        if stride < 1:
-            raise ValueError("stride must be positive")
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.setflags(write=False)
         self.letters = arr
         self.alphabet_size = alphabet_size
         self.source = source
-        self.stride = stride
         self._checkpoints = self._build_checkpoints()
         self._bytes: bytes | None = None
 
     def _build_checkpoints(self) -> np.ndarray:
-        n, s, d = self.letters.size, self.stride, self.alphabet_size
+        n, s, d = self.letters.size, _STRIDE, self.alphabet_size
         nblocks = n // s
         table = np.zeros((d, nblocks + 1), dtype=np.int64)
         if nblocks:
@@ -212,9 +209,9 @@ class PrefixBuffer:
         """Parikh vector of the first n letters."""
         if not 0 <= n <= len(self):
             raise InsufficientPrefixError(f"prefix length {n} outside 0..{len(self)}")
-        block = n // self.stride
+        block = n // _STRIDE
         base = self._checkpoints[:, block].copy()
-        tail = self.letters[block * self.stride:n]
+        tail = self.letters[block * _STRIDE:n]
         if tail.size:
             base += np.bincount(tail, minlength=self.alphabet_size)
         return tuple(int(c) for c in base)

@@ -37,6 +37,20 @@ def test_palindromic_closure_is_shortest_palindrome(v):
         assert not exists
 
 
+def test_palindromic_suffix_survives_hash_collisions():
+    # Thue-Morse then its complement: the rolling hashes of the suffixes at
+    # 0, 1024, 2048, 3072 and 5120 equal those of their mirrors, but none of
+    # them is a palindrome; only the direct comparison finds 4096
+    tm = bytes(bin(i).count("1") % 2 for i in range(4096))
+    v = tm + bytes(1 - a for a in tm)
+    brute = next(s for s in range(len(v) + 1) if v[s:] == v[s:][::-1])
+    assert brute == 4096
+    assert arnoux_rauzy._longest_palindromic_suffix_start(v) == brute
+    closure = next(c for k in range(len(v) + 1)
+                   if (c := v + v[:k][::-1]) == c[::-1])
+    assert palindromic_closure(v) == closure
+
+
 def test_iterated_closure_builds_fibonacci_prefixes():
     # alternating directive letters build the Fibonacci word
     w = iterated_palindromic_closure([0, 1] * 8)

@@ -324,6 +324,28 @@ def test_nested_shuffle_runs_under_default_warmup(capsysbinary):
     assert rc == 0 and err == b"" and len(out) == 16
 
 
+def test_deep_nesting_is_an_error_not_a_traceback(capsys):
+    shuffle = "randu"
+    for _ in range(500):
+        shuffle = f"shuffle:fib:({shuffle}),randu"
+    for cmd, spec in (("word", "merge:01:" * 400 + "fib"), ("gen", shuffle)):
+        rc, out, err = run(capsys, cmd, spec, "--count", "4")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and "nest deeper" in err
+
+
+def test_nesting_at_the_limit_still_emits(tmp_path):
+    shuffle = "randu"
+    for _ in range(63):
+        shuffle = f"shuffle:fib:({shuffle}),randu"
+    w, g = tmp_path / "w.txt", tmp_path / "g.bin"
+    assert main(["word", "merge:01:" * 63 + "fib", "--count", "32",
+                 "--out", str(w)]) == 0
+    assert w.read_text() == FIB32 + "\n"
+    assert main(["gen", shuffle, "--count", "4", "--out", str(g)]) == 0
+    assert len(g.read_bytes()) == 16
+
+
 def test_rotation_zero_denominator_is_rejected(capsys):
     for spec in ["rot:(3-1*sqrt(5))/0:(0)/1", "rot:(3-1*sqrt(5))/2:(0)/0"]:
         rc, out, err = run(capsys, "word", spec, "--count", "8")

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -150,6 +151,53 @@ def test_rotation_letter_conventions_at_boundary():
     zero = QuadraticIrrational.from_rational(0)
     assert rotation_letter(RotationCoding(alpha, zero, "left"), 0) == 0
     assert rotation_letter(RotationCoding(alpha, zero, "right"), 0) == 1
+
+
+def reference_letter(coding, n):
+    """Interval membership of the orbit point, decided by exact comparison."""
+    f = (coding.rho + coding.alpha * n).frac()
+    cmp = f.compare(1 - coding.alpha)
+    if coding.convention == "left":
+        return int(cmp >= 0)                # [1-alpha, 1)
+    return int(cmp > 0 or f == 0)           # (1-alpha, 1], 0 read as 1
+
+
+SLOPES = [GOLDEN_CONJ, QuadraticIrrational(-1, 1, 1, 2),    # sqrt(2)-1
+          QuadraticIrrational(0, 1, 3, 2)]                  # sqrt(2)/3
+
+
+@pytest.mark.parametrize("convention", ["left", "right"])
+@given(alpha=st.sampled_from(SLOPES), n=st.integers(0, 10 ** 18),
+       k=st.integers(1, 10 ** 6))
+def test_rotation_letter_matches_interval_reference(convention, alpha, n, k):
+    # rho = -k*alpha puts the orbit on 0 at k, rho = 1 - (k+1)*alpha puts it
+    # on the split point 1 - alpha at k
+    for rho in (alpha, -alpha * k, 1 - alpha * (k + 1)):
+        coding = RotationCoding(alpha, rho, convention)
+        for m in (n, k - 1, k, k + 1):
+            assert rotation_letter(coding, m) == reference_letter(coding, m)
+
+
+@pytest.mark.parametrize("convention", ["left", "right"])
+@pytest.mark.parametrize("rho", [GOLDEN_CONJ, -GOLDEN_CONJ * 17,
+                                 1 - GOLDEN_CONJ * 18])
+def test_prefix_parikh_sums_reference_letters(convention, rho):
+    coding = RotationCoding(GOLDEN_CONJ, rho, convention)
+    s = RotationStream(coding)
+    ones = 0
+    for n in range(2001):
+        assert s.prefix_parikh(n) == (n - ones, ones)
+        ones += reference_letter(coding, n)
+
+
+def test_large_radicand_arithmetic_is_fast():
+    D = 4294967291                          # largest prime below 2^32
+    x, y = QuadraticIrrational(1, 1, 3, D), QuadraticIrrational(2, -1, 5, D)
+    start = time.perf_counter()
+    for _ in range(200):
+        x + y
+        x * y
+    assert time.perf_counter() - start < 1
 
 
 def test_coding_validation():

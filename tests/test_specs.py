@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from aprng import specs
 from aprng.errors import AlphabetError, ParameterError, SpecParseError
 from aprng.morphic import FIBONACCI, InterleavedStream, Morphism, fibonacci_stream
 from aprng.prng import NAMED_LCGS, ShuffledPrng, named_lcg
@@ -233,6 +234,34 @@ def test_rule_errors_point_into_both_morphic_forms(rules):
             parse_word_spec(head + rules + tail)
         assert (exc.value.message, exc.value.pos) == (message,
                                                       len(head) + offset)
+
+
+@pytest.mark.parametrize("text,pos", [("rot:(1/2:(0)/1", 4),
+                                      ("rot:(3-1*sqrt(5))/2:(0)/x", 20),
+                                      ("lcg:m=ten,a=3,c=0", 6)])
+def test_segment_errors_quote_the_whole_descriptor(text, pos):
+    parse = parse_gen_spec if text.startswith("lcg") else parse_word_spec
+    with pytest.raises(SpecParseError) as exc:
+        parse(text)
+    assert (exc.value.text, exc.value.pos) == (text, pos)
+
+
+def test_nesting_is_bounded():
+    limit = specs._MAX_NESTING
+    merge = "merge:01:" * (limit - 1) + "fib"
+    assert parse_word_spec(merge).format().count("merge") == limit - 1
+    with pytest.raises(SpecParseError) as exc:
+        parse_word_spec("merge:01:" + merge)
+    assert exc.value.pos == len("merge:01:" * limit)
+    shuffle = "randu"
+    for _ in range(limit - 1):
+        shuffle = f"shuffle:fib:({shuffle}),randu"
+    assert parse_gen_spec(shuffle).format().count("shuffle") == limit - 1
+    with pytest.raises(SpecParseError):
+        parse_gen_spec(f"shuffle:fib:({shuffle}),randu")
+    # grouping parentheses add no level, and no recursion
+    deep = "(" * 2000 + "randu" + ")" * 2000
+    assert parse_gen_spec(deep) == parse_gen_spec("randu")
 
 
 def test_same_rules_share_one_expansion():

@@ -112,8 +112,8 @@ def test_factor_complexity_matches_set_count(w, n):
 def test_prefix_buffer_parikh_checkpoints():
     rng = np.random.default_rng(5)
     letters = rng.integers(0, 3, size=10000, dtype=np.uint8)
-    buf = PrefixBuffer(letters, 3, stride=64)
-    for n in [0, 1, 63, 64, 65, 5000, 9999, 10000]:
+    buf = PrefixBuffer(letters, 3)
+    for n in [0, 1, 1023, 1024, 1025, 5000, 9999, 10000]:
         expect = tuple(int(c) for c in np.bincount(letters[:n], minlength=3))
         assert buf.parikh_of_prefix(n) == expect
     with pytest.raises(InsufficientPrefixError):
