@@ -97,7 +97,7 @@ def _cmd_word(args) -> int:
     with _Sink(args.out) as f:
         while remaining > 0:
             take = min(_TEXT_CHUNK, remaining)
-            chunk = bytes(stream.take(take))
+            chunk = stream.take(take)
             f.write(chunk if args.raw else word_to_text(chunk).encode())
             remaining -= take
         if not args.raw:

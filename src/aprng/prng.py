@@ -13,6 +13,12 @@ l63-25, run on lanes of 32-bit-limb products, as many as balance the lane
 starts against the vector steps of the call (4096 from about 2.6e5 values
 on).  Other moduli, among them every one below 2^32, step a plain Python-int
 loop, which also serves as the oracle of both lane paths.
+
+Every array that outputs or raw_states returns is fresh and belongs to the
+caller.  Each Lcg steps its states into a scratch buffer of its own (never
+shared, not even with a fork) and each ShuffledPrng keeps a letter mask of
+its own; both are reused from call to call, so a stream does not allocate a
+new chunk-sized temporary for each step of the pipeline.
 """
 from __future__ import annotations
 
@@ -63,6 +69,10 @@ def _pseudo_mersenne(m: int, a: int, c: int) -> tuple[int, int] | None:
     return None
 
 
+def _fresh(size: int) -> np.ndarray:
+    return np.empty(size, dtype=np.uint64)
+
+
 class Lcg:
     """Z_{n+1} = (a*Z_n + c) mod m with 32-bit output Z >> shift."""
 
@@ -79,8 +89,8 @@ class Lcg:
         self.state = seed
         self.shift = max(0, (m - 1).bit_length() - 32)
         self._pow2 = m & (m - 1) == 0
-        self._mask = m - 1 if self._pow2 else 0
         self._fold = None if self._pow2 else _pseudo_mersenne(m, a, c)
+        self._buffer = _fresh(0)
 
     @property
     def out_range(self) -> int:
@@ -92,21 +102,40 @@ class Lcg:
         return self.state >> self.shift
 
     def outputs(self, n: int) -> np.ndarray:
-        """Next n outputs as uint32."""
-        states = self.raw_states(n)
-        return (states >> np.uint64(self.shift)).astype(np.uint32)
-
-    def raw_states(self, n: int) -> np.ndarray:
-        """Next n full states as uint64, before the output shift."""
+        """Next n outputs as uint32, in a fresh array."""
         if n < 0:
             raise ParameterError("n must be >= 0")
+        out = np.empty(n, dtype=np.uint32)
+        shift = np.uint64(self.shift)
+        for lo in range(0, n, _CHUNK):
+            states = self._states(min(_CHUNK, n - lo), self._scratch)
+            np.right_shift(states, shift, out=out[lo:lo + states.size],
+                           casting="unsafe")
+        return out
+
+    def raw_states(self, n: int) -> np.ndarray:
+        """Next n full states as uint64, before the output shift, in a
+        fresh array."""
+        if n < 0:
+            raise ParameterError("n must be >= 0")
+        return self._states(n, _fresh)
+
+    def _scratch(self, size: int) -> np.ndarray:
+        """size uint64 cells of this instance's private buffer, which every
+        call to outputs overwrites."""
+        if self._buffer.size < size:
+            self._buffer = np.empty(size, dtype=np.uint64)
+        return self._buffer[:size]
+
+    def _states(self, n: int, buffer) -> np.ndarray:
+        """Next n states, stepped in place into buffer(size) uint64 cells."""
         if n == 0:
-            return np.empty(0, dtype=np.uint64)
+            return buffer(0)
         if self._pow2:
-            return self._states_pow2(n)
+            return self._states_pow2(n, buffer)
         if self._fold:
-            return self._states_fold(n)
-        out = np.empty(n, dtype=np.uint64)
+            return self._states_fold(n, buffer)
+        out = buffer(n)
         x, a, c, m = self.state, self.a, self.c, self.m
         for i in range(n):
             x = (a * x + c) % m
@@ -114,34 +143,41 @@ class Lcg:
         self.state = x
         return out
 
-    def _states_pow2(self, n: int) -> np.ndarray:
-        # lane j holds Z_{t*K + j + 1}; one vector op advances all lanes K steps
+    def _states_pow2(self, n: int, buffer) -> np.ndarray:
+        # lane j holds Z_{t*K + j + 1}; one vector op advances all lanes K
+        # steps.  Products wrap mod 2^64, so the mask is needed below 2^64 only.
         m, a, c = self.m, self.a, self.c
-        mask = np.uint64(self._mask)
+        mask = np.uint64(m - 1) if m < 1 << 64 else None
         K = min(n, _LANES)
+        steps = -(-n // K)
+        states = buffer(steps * K).reshape(steps, K)
         apow = np.ones(K, dtype=np.uint64)
-        apow[1:] = a & self._mask
-        np.cumprod(apow, out=apow)
-        apow &= mask                                    # a^j mod m
+        apow[1:] = a
+        np.cumprod(apow, out=apow)                      # a^j mod 2^64
         gsum = np.zeros(K, dtype=np.uint64)
-        np.cumsum(apow[:K - 1], out=gsum[1:])
-        gsum &= mask                                    # 1 + ... + a^(j-1)
-        lanes = (apow * np.uint64(a % m) * np.uint64(self.state)
-                 + (gsum * np.uint64(a % m) + np.uint64(1)) * np.uint64(c % m))
-        lanes &= mask                                   # Z_{j+1}
+        np.cumsum(apow[:K - 1], out=gsum[1:])           # 1 + ... + a^(j-1)
+        lanes = states[0]
+        np.multiply(apow, np.uint64(a * self.state % m), out=lanes)
+        gsum *= np.uint64(a)
+        gsum += np.uint64(1)
+        gsum *= np.uint64(c)
+        lanes += gsum                                   # Z_{j+1}
+        if mask is not None:
+            lanes &= mask
         A = np.uint64(pow(a, K, m))
         C = np.uint64((c * _geometric_sum(a, K, m)) % m)
-        steps = -(-n // K)
-        states = np.empty((steps, K), dtype=np.uint64)
-        states[0] = lanes
         for t in range(1, steps):
-            lanes = (lanes * A + C) & mask
-            states[t] = lanes
+            row = states[t]
+            np.multiply(lanes, A, out=row)
+            np.add(row, C, out=row)
+            if mask is not None:
+                np.bitwise_and(row, mask, out=row)
+            lanes = row
         flat = states.reshape(-1)[:n]
         self.state = int(flat[-1])
         return flat
 
-    def _states_fold(self, n: int) -> np.ndarray:
+    def _states_fold(self, n: int, buffer) -> np.ndarray:
         # lane j holds Z_{j*S + t + 1} at step t: each lane starts from a
         # Python-int jump and steps by a itself, whose size bounds the fold
         m, a, c = self.m, self.a, self.c
@@ -153,8 +189,8 @@ class Lcg:
         starts = [(a * self.state + c) % m]
         for _ in range(K - 1):
             starts.append((A * starts[-1] + C) % m)
+        states = buffer(K * S).reshape(K, S)
         lanes = np.array(starts, dtype=np.uint64)
-        states = np.empty((K, S), dtype=np.uint64)
         states[:, 0] = lanes
         u = np.uint64
         half, low32 = u(32), u(0xFFFFFFFF)
@@ -235,6 +271,7 @@ class ShuffledPrng:
             raise ParameterError(
                 f"sources must share one output range, got {sorted(ranges)}")
         self.counters = [0] * len(self.sources)
+        self._hits = np.empty(0, dtype=bool)
 
     @property
     def out_range(self) -> int | None:
@@ -244,16 +281,18 @@ class ShuffledPrng:
         if n < 0:
             raise ParameterError("n must be >= 0")
         out = np.empty(n, dtype=np.uint32)
-        done = 0
-        while done < n:
-            take = min(_CHUNK, n - done)
-            letters = self.steering.take(take)
+        for lo in range(0, n, _CHUNK):
+            letters = self.steering.take(min(_CHUNK, n - lo))
+            part = out[lo:lo + letters.size]
+            if self._hits.size < letters.size:
+                self._hits = np.empty(letters.size, dtype=bool)
+            hits = self._hits[:letters.size]
             for a, src in enumerate(self.sources):
-                idx = np.nonzero(letters == a)[0]
-                if idx.size:
-                    out[done + idx] = src.outputs(idx.size)
-                    self.counters[a] += idx.size
-            done += take
+                np.equal(letters, a, out=hits)
+                count = int(np.count_nonzero(hits))
+                if count:
+                    np.place(part, hits, src.outputs(count))
+                    self.counters[a] += count
         return out
 
     def next(self) -> int:
@@ -390,9 +429,10 @@ def stream_export(source, n: int, sink) -> int:
     try:
         written = 0
         for chunk in _value_chunks(source, n, _CHUNK):
-            data = chunk.astype("<u4").tobytes()
+            # no copy of a contiguous uint32 chunk on a little-endian host
+            data = np.ascontiguousarray(chunk, dtype="<u4")
             sink.write(data)
-            written += len(data)
+            written += data.nbytes
         sink.flush()
         return written
     finally:

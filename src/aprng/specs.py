@@ -64,7 +64,7 @@ def parse_number(text: str, *, where: str = "") -> int:
     if m:
         base, exp, off = int(m.group(1)), int(m.group(2)), m.group(3)
         return base ** exp + (int(off) if off else 0)
-    if s.isdigit():
+    if s.isdecimal():
         return int(s)
     try:
         v = Fraction(s)
@@ -129,11 +129,11 @@ def parse_morphism_rules(text: str) -> list[str]:
         if not sep:
             raise SpecParseError(
                 f"rule {chunk!r} lacks '->'", text, offset)
-        if not (lhs.isdigit() and len(lhs) == 1):
+        if not (lhs.isdecimal() and len(lhs) == 1):
             raise SpecParseError(
                 f"rule left side must be a single digit letter, got {lhs!r}",
                 text, offset)
-        if not rhs.isdigit():
+        if not rhs.isdecimal():
             raise SpecParseError(
                 f"image for letter {lhs} must be digits, got {rhs!r}",
                 text, offset + len(lhs) + 2)
@@ -355,7 +355,7 @@ def _optional_field(cur: _Cursor, accept) -> str | None:
 def _digits(message: str):
     """Segment reader that keeps only a string of digits."""
     def read(segment: str) -> str:
-        if not segment.isdigit():
+        if not segment.isdecimal():
             raise ValueError(f"{message}, got {segment!r}")
         return segment
     return read
@@ -370,7 +370,7 @@ def _parse_word(cur: _Cursor, depth: int = 1) -> WordSpec:
         return _NAMED_WORDS[head]
     if head == "morphism":
         phi = _field(cur, "then rules like 0->01,1->0", Morphism.from_text)
-        seed = _optional_field(cur, str.isdigit)
+        seed = _optional_field(cur, str.isdecimal)
         return MorphicSpec(phi, 0 if seed is None else int(seed))
     if head == "ar":
         kind = _field(cur, "then 'cycle' or 'morphic'", str)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InsufficientDataError, ParameterError
 from .prng import _value_chunks
 
-_CHUNK = 1 << 22
+_CHUNK = 1 << 18
 _GAP_CAP = 1 << 12
 _MAX_PAIR_CELLS = 1 << 22   # serial_pairs keeps three int64/float64 arrays of bins^2
 _MAX_LOG = math.log(sys.float_info.max)

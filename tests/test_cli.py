@@ -231,6 +231,20 @@ def test_error_exit_codes(capsys):
     assert rc4 == 2 and out4 == "" and err4.startswith("error: ")
 
 
+@pytest.mark.parametrize("spec,message,pos", [
+    ("ar:cycle:\u00b2", "directive pattern must be digits", 9),
+    ("morphism:\u00b2->01,1->0", "rule left side must be a single digit", 9),
+    ("morphism:0->0\u00b2,1->0", "image for letter 0 must be digits", 12),
+    ("morphism:0->01,1->0:\u00b2", "unexpected trailing text", 19),
+])
+def test_superscript_digits_are_placed_spec_errors(capsys, spec, message, pos):
+    # str.isdigit accepts a superscript two, which int() then refuses
+    rc, out, err = run(capsys, "word", spec, "--count", "4")
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert f"(at char {pos} of " in err
+
+
 def test_argparse_rejects_bad_values(capsys):
     with pytest.raises(SystemExit):
         main(["word"])

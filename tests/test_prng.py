@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aprng import prng
 from aprng.errors import AlphabetError, ParameterError
 from aprng.lattice import consecutive_tuples
 from aprng.morphic import fibonacci_stream
@@ -112,6 +113,61 @@ def test_outputs_resume_mid_stream():
     assert np.array_equal(parts, whole)
 
 
+# randu (2^31, no shift), l59 (a mask short of 64 bits), l64_28 (no mask),
+# and the two pseudo-Mersenne lane paths
+BUFFERED = ["randu", "l59", "l64_28", "l63-25", "l47-115"]
+
+
+@pytest.mark.parametrize("name", BUFFERED)
+def test_buffered_paths_match_loop_over_successive_calls(name):
+    K, B = prng._LANES, prng._CHUNK
+    lengths = [0, 1, K - 1, K, K + 1, B - 1, B + 1, 3 * B + 5]
+    g = named_lcg(name, seed=12345)
+    m, a, c = NAMED_LCGS[name]
+    want = np.array(py_states(m, a, c, 12345, sum(lengths)), dtype=np.uint64)
+    assert g.outputs(0).size == 0 and g.state == 12345
+    off = 0
+    for i, n in enumerate(lengths):
+        # alternate the fresh path (raw_states) and the scratch one (outputs)
+        if i % 2 == 0:
+            got = g.raw_states(n)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, want[off:off + n])
+        else:
+            got = g.outputs(n)
+            assert got.dtype == np.uint32
+            assert np.array_equal(got, want[off:off + n] >> np.uint64(g.shift))
+        off += n
+        if n:
+            assert g.state == int(want[off - 1])
+
+
+@pytest.mark.parametrize("name", BUFFERED)
+def test_returned_arrays_do_not_alias_scratch(name):
+    g = named_lcg(name, seed=3)
+    first = g.outputs(5000)
+    kept = first.copy()
+    states = g.raw_states(5000)
+    kept_states = states.copy()
+    g.outputs(5000)
+    g.raw_states(5000)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(states, kept_states)
+    assert not np.shares_memory(first, g._buffer)
+    assert not np.shares_memory(states, g._buffer)
+
+
+@pytest.mark.parametrize("name", BUFFERED)
+def test_fork_shares_no_buffer(name):
+    g = named_lcg(name, seed=5)
+    g.outputs(5000)
+    h = g.fork()
+    want = h.fork().outputs(3000)
+    assert np.array_equal(h.outputs(3000), want)
+    assert not np.shares_memory(g._buffer, h._buffer)
+    assert np.array_equal(g.outputs(3000), want)
+
+
 @pytest.mark.parametrize("name", ["randu", "l47-115", "l64_39"])
 @pytest.mark.parametrize("k", [0, 1, 2, 977, 4096, 10 ** 5])
 def test_jump_equals_stepping(name, k):
@@ -208,6 +264,55 @@ def test_shuffle_counters_track_steering_parikh():
     z.outputs(n - 300)
     assert tuple(z.counters) == fibonacci_stream().prefix_parikh(n)
     assert sum(z.counters) == n
+
+
+def _shuffle_pair(gen=None):
+    return ShuffledPrng(fibonacci_stream(), [gen or named_lcg("l64_28", 1),
+                                             gen or named_lcg("l64_32", 2)])
+
+
+@pytest.mark.parametrize("chunk", [1000, 4099])
+def test_shuffle_split_calls_cross_chunk_boundaries(monkeypatch, chunk):
+    monkeypatch.setattr(prng, "_CHUNK", chunk)
+    n = 3 * chunk + 17
+    whole = _shuffle_pair().outputs(n)
+    for a in (chunk - 1, chunk, chunk + 1, 2 * chunk + 500):
+        z = _shuffle_pair()
+        parts = np.concatenate([z.outputs(a), z.outputs(n - a)])
+        assert np.array_equal(parts, whole)
+        assert tuple(z.counters) == fibonacci_stream().prefix_parikh(n)
+
+
+def _one_source_oracle(m, a, c, seed, calls, chunk):
+    """A single generator as both sources: each chunk of each call hands
+    the next values first to the positions of letter 0, then to those of
+    letter 1."""
+    letters = fibonacci_stream().take(sum(calls))
+    states = iter(py_states(m, a, c, seed, sum(calls)))
+    shift = max(0, (m - 1).bit_length() - 32)
+    out = [0] * len(letters)
+    blocks, off = [], 0
+    for n in calls:
+        blocks += [(lo, min(lo + chunk, off + n)) for lo in range(off, off + n, chunk)]
+        off += n
+    for lo, hi in blocks:
+        for letter in (0, 1):
+            for i in range(lo, hi):
+                if letters[i] == letter:
+                    out[i] = next(states) >> shift
+    return out
+
+
+@pytest.mark.parametrize("name", ["randu", "l64_28", "l63-25"])
+@pytest.mark.parametrize("chunk", [1000, None])
+def test_one_generator_as_both_sources(monkeypatch, name, chunk):
+    if chunk:
+        monkeypatch.setattr(prng, "_CHUNK", chunk)
+    calls = (700, prng._CHUNK + 1645)
+    m, a, c = NAMED_LCGS[name]
+    z = _shuffle_pair(named_lcg(name, 9))
+    got = np.concatenate([z.outputs(n) for n in calls])
+    assert got.tolist() == _one_source_oracle(m, a, c, 9, calls, prng._CHUNK)
 
 
 def test_shuffle_warm_up_equals_brute_force():

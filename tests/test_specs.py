@@ -34,7 +34,8 @@ def test_parse_number(text, value):
     assert parse_number(text) == value
 
 
-@pytest.mark.parametrize("text", ["-5", "1.5", "abc", "1e-3", "", "2^", "^3"])
+@pytest.mark.parametrize("text", ["-5", "1.5", "abc", "1e-3", "", "2^", "^3",
+                                  "\u00b2"])
 def test_parse_number_rejects(text):
     with pytest.raises(SpecParseError):
         parse_number(text)

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import gammaincc
 from scipy.stats import distributions
 
+from aprng import stats
 from aprng.errors import InsufficientDataError, ParameterError
 from aprng.prng import Lcg, named_lcg
 from aprng.stats import (ConstantSource, LowBitsSource, RandomSource,
@@ -247,3 +248,19 @@ def test_reference_fixture_calibration_sample():
         rep = chi_square_equidist(RandomSource(seed), 64, 20000)
         inside += 0.001 <= rep.p_value <= 0.999
     assert inside >= 18
+
+
+@pytest.mark.parametrize("test,source,n", [
+    (lambda s, n: chi_square_equidist(s, 16, n), lambda: named_lcg("l64_39", 3), 60001),
+    (lambda s, n: serial_pairs(s, 8, n), lambda: named_lcg("l64_39", 3), 60001),
+    (lambda s, n: gap_test(s, (0.5, 0.55), n), lambda: named_lcg("l64_39", 3), 60001),
+    (lambda s, n: gap_test(s, (0.5, 0.503), n), lambda: named_lcg("l64_39", 3), 60001),
+    (lambda s, n: serial_pairs(s, 4, n), lambda: LowBitsSource(named_lcg("l63", 3), 3), 60001),
+], ids=["chi2", "serial", "gap", "gap_sparse", "lowbits"])
+def test_reports_do_not_depend_on_chunk_size(monkeypatch, test, source, n):
+    # an odd chunk leaves a pair half over; gaps span chunk boundaries,
+    # and at p = 0.003 some chunks hold no hit at all
+    want = test(source(), n)
+    for chunk in (1000, 1001):
+        monkeypatch.setattr(stats, "_CHUNK", chunk)
+        assert test(source(), n) == want
