@@ -15,10 +15,7 @@ from .words import (
     MAX_ALPHABET,
     PrefixBuffer,
     as_word,
-    factor_complexity,
-    occurrences,
     parikh,
-    right_special_factors,
     word_to_text,
 )
 from .streams import CycleStream, WordStream
@@ -58,11 +55,8 @@ from .welldoc import (
 from .prng import (
     NAMED_LCGS,
     Lcg,
-    RightSpecialWitness,
     ShuffledPrng,
-    lcg_state_period,
     named_lcg,
-    right_special_witness,
     stream_export,
 )
 from .lattice import (

@@ -40,6 +40,8 @@ def _interval(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(
             f"expected lo,hi like 0.25,0.75, got {text!r}")
     try:
+        if not text.isascii():      # float() also reads other scripts' digits
+            raise ValueError(text)
         return float(parts[0]), float(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(
@@ -48,6 +50,8 @@ def _interval(text: str) -> tuple[float, float]:
 
 def _normal(text: str) -> tuple[int, ...]:
     try:
+        if not text.isascii():      # int() also reads other scripts' digits
+            raise ValueError(text)
         return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
@@ -281,8 +285,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

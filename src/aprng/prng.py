@@ -36,9 +36,6 @@ _LANES = 1 << 12
 # sqrt(_LANE_BALANCE * n) lanes balance the two for a call of n values.
 _LANE_BALANCE = 64
 
-UNDETERMINED = "UNDETERMINED"
-FOUND = "FOUND"
-
 
 def _geometric_sum(a: int, k: int, m: int) -> int:
     """1 + a + ... + a^(k-1) mod m, by binary splitting (no division)."""
@@ -312,86 +309,6 @@ class ShuffledPrng:
 
     def __repr__(self):
         return f"ShuffledPrng({self.steering!r}, {self.sources!r})"
-
-
-class RightSpecialWitness:
-    """Result of searching the output stream for an l-tuple that is followed
-    by two different values at different positions."""
-
-    __slots__ = ("verdict", "tuple_prefix", "position_a", "position_b",
-                 "scanned")
-
-    def __init__(self, verdict, tuple_prefix, position_a, position_b, scanned):
-        self.verdict = verdict
-        self.tuple_prefix = tuple_prefix
-        self.position_a = position_a
-        self.position_b = position_b
-        self.scanned = scanned
-
-    def __bool__(self):
-        return self.verdict == FOUND
-
-    def __repr__(self):
-        if self:
-            return (f"RightSpecialWitness({self.tuple_prefix} at "
-                    f"{self.position_a} -> a, {self.position_b} -> b)")
-        return f"RightSpecialWitness(UNDETERMINED, scanned={self.scanned})"
-
-
-def right_special_witness(source, length: int, a_value: int, b_value: int,
-                          budget: int = 10 ** 6) -> RightSpecialWitness:
-    """Search for an occurrence of some l-tuple followed by a_value and, at
-    another position, the same l-tuple followed by b_value.
-
-    Positions index the start of the (l+1)-tuple in the scanned stream.
-    """
-    if length < 1:
-        raise ParameterError("tuple length must be >= 1")
-    if a_value == b_value:
-        raise ParameterError("the two follower values must differ")
-    arr, = _value_chunks(source, budget, budget)
-    arr = arr.astype(np.uint32, copy=False)
-    if arr.size < length + 1:
-        return RightSpecialWitness(UNDETERMINED, None, None, None, arr.size)
-    win = np.lib.stride_tricks.sliding_window_view(arr, length)
-    followers = arr[length:]
-    idx_a = np.nonzero(followers == a_value)[0]
-    idx_b = np.nonzero(followers == b_value)[0]
-    if idx_a.size and idx_b.size:
-        rows_a = np.ascontiguousarray(win[idx_a]).view(
-            np.dtype((np.void, win.dtype.itemsize * length))).ravel()
-        rows_b = np.ascontiguousarray(win[idx_b]).view(
-            np.dtype((np.void, win.dtype.itemsize * length))).ravel()
-        common, ia, ib = np.intersect1d(rows_a, rows_b, return_indices=True)
-        if common.size:
-            pa = int(idx_a[ia[0]])
-            pb = int(idx_b[ib[0]])
-            return RightSpecialWitness(
-                FOUND, tuple(int(v) for v in win[pa]), pa, pb, arr.size)
-    return RightSpecialWitness(UNDETERMINED, None, None, None, arr.size)
-
-
-def lcg_state_period(m: int, a: int, c: int, seed: int,
-                     limit: int = 1 << 20) -> int | None:
-    """Period of the state orbit by Floyd cycle-finding, or None past limit."""
-    f = lambda x: (a * x + c) % m
-    tort = f(seed)
-    hare = f(f(seed))
-    steps = 1
-    while tort != hare:
-        if steps >= limit:
-            return None
-        tort = f(tort)
-        hare = f(f(hare))
-        steps += 1
-    period = 1
-    hare = f(tort)
-    while tort != hare:
-        if period >= limit:
-            return None
-        hare = f(hare)
-        period += 1
-    return period
 
 
 def _value_chunks(source, n: int, size: int):

@@ -22,7 +22,8 @@ Generator forms::
     shuffle:<word>:<gen>,<gen>[,<gen>...]
 
 Numbers accept ``2^31``, ``2^47-115``, ``13^13``, plain decimal, and
-integral scientific notation like ``1e6``.
+integral scientific notation like ``1e6``.  Descriptors and numbers are
+ASCII text.
 """
 
 from __future__ import annotations
@@ -51,6 +52,18 @@ __all__ = [
 ]
 
 
+def _ascii(text: str) -> str:
+    """``text``, if it is ASCII like the grammar.  ``int``, ``\\d`` and
+    ``isdecimal`` also accept other scripts' digits, so any other character
+    is an error, placed at the first one.  Descriptor and rule readers call
+    this after parsing, so that a rule a text breaks (a superscript two for
+    a digit, say) keeps its own message."""
+    if not text.isascii():
+        pos = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise SpecParseError(f"non-ASCII character {text[pos]!r}", text, pos)
+    return text
+
+
 # --------------------------------------------------------------------------
 # numbers
 
@@ -59,7 +72,7 @@ _POWER = re.compile(r"(\d+)\^(\d+)([+-]\d+)?\Z")
 
 def parse_number(text: str, *, where: str = "") -> int:
     """Nonnegative integer from ``2^31``, ``2^47-115``, ``1e6``, or decimal."""
-    s = text.strip()
+    s = _ascii(text).strip()
     m = _POWER.match(s)
     if m:
         base, exp, off = int(m.group(1)), int(m.group(2)), m.group(3)
@@ -92,7 +105,7 @@ _QI_RATIONAL = re.compile(r"\((-?\d+)\)/(\d+)\Z")
 
 
 def parse_quadratic(text: str) -> QuadraticIrrational:
-    s = text.strip()
+    s = _ascii(text).strip()
     if m := _QI_FULL.match(s):
         p, q, D, r = map(int, m.groups())
     elif m := _QI_RATIONAL.match(s):
@@ -142,6 +155,7 @@ def parse_morphism_rules(text: str) -> list[str]:
             raise SpecParseError(f"duplicate rule for letter {a}", text, offset)
         images[a] = rhs
         offset += len(chunk) + 1
+    _ascii(text)
     d = len(images)
     missing = [a for a in range(d) if a not in images]
     if missing:
@@ -466,6 +480,7 @@ def parse_word_spec(text: str) -> WordSpec:
     spec = _parse_word(cur)
     if not cur.at_end():
         cur.error("unexpected trailing text after word descriptor")
+    _ascii(text)
     return spec
 
 
@@ -474,6 +489,7 @@ def parse_gen_spec(text: str) -> GenSpec:
     spec = _parse_gen(cur)
     if not cur.at_end():
         cur.error("unexpected trailing text after generator descriptor")
+    _ascii(text)
     return spec
 
 

@@ -2,7 +2,7 @@
 
 A WordStream yields letters of a fixed infinite word over 0..d-1.  Concrete
 streams implement block production, absolute repositioning and exact
-Parikh vectors of prefixes; the base class provides skipping, single-letter
+Parikh vectors of prefixes; the base class provides seeking, single-letter
 reads and prefix materialization.  Streams are single-cursor objects: fork()
 hands out an independent stream of the same word positioned at 0.
 """
@@ -53,20 +53,11 @@ class WordStream(ABC):
         self._pos += n
         return out
 
-    def skip(self, n: int) -> None:
-        """Advance n letters without producing them: seek(position + n)."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        self.seek(self._pos + n)
-
     def seek(self, pos: int) -> None:
         if pos < 0:
             raise ValueError("position must be >= 0")
         self._rewind(pos)
         self._pos = pos
-
-    def next_letter(self) -> int:
-        return int(self.take(1)[0])
 
     def letter_at(self, pos: int) -> int:
         """Letter u_pos; leaves the stream positioned to emit u_{pos+1}."""

@@ -1,4 +1,4 @@
-"""Finite-word primitives: Parikh vectors, occurrences, special factors.
+"""Finite-word primitives: letter normalization, text rendering, Parikh vectors.
 
 Letters are integers 0..d-1 with d <= 16.  Finite words travel as ``bytes``
 (one letter per byte); large materialized prefixes live in a PrefixBuffer,
@@ -15,8 +15,6 @@ from .errors import AlphabetError, InsufficientPrefixError
 MAX_ALPHABET = 16
 _STRIDE = 1024          # letters between a PrefixBuffer's Parikh checkpoints
 
-Word = bytes
-
 _BYTES = bytes(range(256))
 _DIGITS = bytes.maketrans(_BYTES[:10], b"0123456789")
 
@@ -24,7 +22,7 @@ _DIGITS = bytes.maketrans(_BYTES[:10], b"0123456789")
 def as_word(w, alphabet_size: int | None = None) -> bytes:
     """Normalize ``w`` to bytes of letters.
 
-    Accepts bytes/bytearray, a string of decimal digits, a numpy uint8 array,
+    Accepts bytes/bytearray, a string of ASCII digits, a numpy uint8 array,
     or any iterable of ints.  Letters are validated against ``alphabet_size``
     when given, and against MAX_ALPHABET always.
     """
@@ -34,6 +32,8 @@ def as_word(w, alphabet_size: int | None = None) -> bytes:
         out = bytes(w)
     elif isinstance(w, str):
         try:
+            if not w.isascii():     # int() also reads other scripts' digits
+                raise ValueError(w)
             out = bytes(int(ch) for ch in w)
         except ValueError:
             raise AlphabetError(f"non-digit letter in word string {w!r}") from None
@@ -62,14 +62,6 @@ def _letters_of(p) -> np.ndarray:
     return np.frombuffer(as_word(p), dtype=np.uint8)
 
 
-def _bytes_of(p) -> bytes:
-    if isinstance(p, PrefixBuffer):
-        return p.tobytes()
-    if isinstance(p, np.ndarray):
-        return p.astype(np.uint8, copy=False).tobytes()
-    return as_word(p)
-
-
 def parikh(w, alphabet_size: int) -> tuple[int, ...]:
     """Occurrence count of every letter 0..d-1 in ``w``."""
     if not 1 <= alphabet_size <= MAX_ALPHABET:
@@ -82,87 +74,6 @@ def parikh(w, alphabet_size: int) -> tuple[int, ...]:
         bad = int(np.max(arr))
         raise AlphabetError(f"letter {bad} outside alphabet of size {alphabet_size}")
     return tuple(int(c) for c in counts)
-
-
-def occurrences(w, p) -> np.ndarray:
-    """Ascending start indices of every (possibly overlapping) occurrence of w in p."""
-    wb = as_word(w)
-    if not wb:
-        raise ValueError("factor must be nonempty")
-    data = _bytes_of(p)
-    hits = []
-    i = data.find(wb)
-    while i != -1:
-        hits.append(i)
-        i = data.find(wb, i + 1)
-    return np.array(hits, dtype=np.int64)
-
-
-def _window_codes(arr: np.ndarray, length: int, d: int) -> np.ndarray | None:
-    """Base-d integer codes of all length-``length`` windows, or None if codes
-    would not fit in 64 bits."""
-    if length * max(d - 1, 1).bit_length() > 63:
-        return None
-    n = arr.size - length + 1
-    codes = arr[:n].astype(np.uint64)
-    du = np.uint64(d)
-    for j in range(1, length):
-        codes = codes * du + arr[j:n + j]
-    return codes
-
-
-def _decode(code: int, length: int, d: int) -> bytes:
-    out = bytearray(length)
-    for j in range(length - 1, -1, -1):
-        out[j] = code % d
-        code //= d
-    return bytes(out)
-
-
-def right_special_factors(p, length: int) -> list[tuple[bytes, set[int]]]:
-    """Length-``length`` factors of p with at least two distinct right extensions.
-
-    Returns (factor, set-of-extending-letters) pairs sorted by factor.  Only
-    extensions witnessed inside p count, so the result is a certificate, not
-    a statement about the infinite word p was cut from.
-    """
-    arr = _letters_of(p)
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if length >= arr.size:
-        raise InsufficientPrefixError(
-            f"need a prefix longer than {length}, have {arr.size} letters")
-    d = int(arr.max()) + 1 if arr.size else 1
-    ext: dict[bytes, set[int]] = {}
-    codes = _window_codes(arr, length + 1, d)
-    if codes is not None:
-        du = np.uint64(d)
-        for code in np.unique(codes):
-            w = _decode(int(code) // d, length, d)
-            ext.setdefault(w, set()).add(int(code % du))
-    else:
-        data = arr.tobytes()
-        for i in range(arr.size - length):
-            ext.setdefault(data[i:i + length], set()).add(data[i + length])
-    return sorted((w, s) for w, s in ext.items() if len(s) >= 2)
-
-
-def factor_complexity(p, n: int) -> int:
-    """Number of distinct length-n factors of p."""
-    arr = _letters_of(p)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1
-    if n > arr.size:
-        raise InsufficientPrefixError(
-            f"need a prefix of at least {n} letters, have {arr.size}")
-    d = int(arr.max()) + 1
-    codes = _window_codes(arr, n, d)
-    if codes is not None:
-        return int(np.unique(codes).size)
-    data = arr.tobytes()
-    return len({data[i:i + n] for i in range(arr.size - n + 1)})
 
 
 class PrefixBuffer:
@@ -185,7 +96,6 @@ class PrefixBuffer:
         self.alphabet_size = alphabet_size
         self.source = source
         self._checkpoints = self._build_checkpoints()
-        self._bytes: bytes | None = None
 
     def _build_checkpoints(self) -> np.ndarray:
         n, s, d = self.letters.size, _STRIDE, self.alphabet_size
@@ -199,11 +109,6 @@ class PrefixBuffer:
 
     def __len__(self) -> int:
         return int(self.letters.size)
-
-    def tobytes(self) -> bytes:
-        if self._bytes is None:
-            self._bytes = self.letters.tobytes()
-        return self._bytes
 
     def parikh_of_prefix(self, n: int) -> tuple[int, ...]:
         """Parikh vector of the first n letters."""

@@ -1,0 +1,32 @@
+import types
+
+import aprng
+
+# Every top-level name, so that adding or removing one is a deliberate diff.
+PUBLIC_NAMES = [
+    "AlphabetError", "ArnouxRauzyStream", "ConstantSource", "CycleStream",
+    "DirectiveError", "FIBONACCI", "FieldMismatchError", "FixedPointStream",
+    "GenSpec", "InsufficientDataError", "InsufficientPrefixError",
+    "InterleavedStream", "LatticeReport", "Lcg", "LowBitsSource",
+    "MAX_ALPHABET", "MergedStream", "Morphism", "NAMED_LCGS", "ParameterError",
+    "PrefixBuffer", "PreservationCertificate", "QuadraticIrrational",
+    "RandomSource", "RotationCoding", "RotationStream", "ShuffledPrng",
+    "SpecParseError", "StatsReport", "THUE_MORSE", "TRIBONACCI",
+    "WelldocQuery", "WelldocReport", "WordSpec", "WordStream", "as_word",
+    "build_gen", "build_word", "candidate_normals", "chi_square_equidist",
+    "consecutive_tuples", "dump_points", "fibonacci_rotation",
+    "fibonacci_stream", "full_lattice_class_count", "gap_test",
+    "iterate_fixed_point", "iterated_palindromic_closure", "naive_stream",
+    "named_lcg", "palindromic_closure", "parikh", "parse_gen_spec",
+    "parse_word_spec", "plane_count", "preserves_welldoc", "rotation_letter",
+    "search_normals", "serial_pairs", "stream_export", "tribonacci_stream",
+    "welldoc_check", "welldoc_scan", "word_to_text",
+]
+
+
+def test_public_api_is_pinned():
+    names = sorted(name for name, value in vars(aprng).items()
+                   if not name.startswith("_")
+                   and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 64

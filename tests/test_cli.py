@@ -255,6 +255,14 @@ def test_argparse_rejects_bad_values(capsys):
     with pytest.raises(SystemExit):
         main(["stats", "randu", "--test", "unknown"])
     capsys.readouterr()
+    # int() and float() also read other scripts' digits
+    with pytest.raises(SystemExit):
+        main(["lattice", "randu", "--normal", "\u0669,-6,1"])
+    assert "expected comma separated integers" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["stats", "randu", "--test", "gap",
+              "--interval", "\u0660.25,0.75"])
+    assert "interval bounds must be numbers" in capsys.readouterr().err
 
 
 def test_module_entry_point():
@@ -374,6 +382,24 @@ def test_rotation_huge_radicand_is_rejected_quickly():
         capture_output=True, text=True, timeout=30)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("error: ") and "radicand" in out.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="relies on Linux enforcing RLIMIT_AS")
+def test_memory_exhaustion_is_an_error_not_a_traceback():
+    import resource
+
+    def cap_address_space():        # runs in the child only
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (1500 * 2 ** 20, hard))
+
+    out = subprocess.run(
+        [sys.executable, "-m", "aprng.cli", "lattice", "randu",
+         "--sample", "1e10", "--warmup", "0"],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=cap_address_space)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ")
 
 
 def test_unwritable_word_output_is_an_error(capsys, tmp_path):

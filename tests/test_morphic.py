@@ -81,6 +81,25 @@ def test_fibonacci_prefix_exact():
     assert bytes(s.take(32)) == bytes(int(c) for c in FIB_PREFIX)
 
 
+def test_fibonacci_has_n_plus_1_factors_of_each_length():
+    # n+1 distinct factors of each length n is the Sturmian signature; a
+    # 4000-letter prefix witnesses it for small n
+    p = bytes(fibonacci_stream().take(4000))
+    for n in range(1, 13):
+        assert len({p[i:i + n] for i in range(len(p) - n + 1)}) == n + 1
+
+
+def test_fibonacci_special_factors_are_reversed_prefixes():
+    # a Sturmian word has one right special factor per length, and those of
+    # the Fibonacci word are its reversed prefixes
+    p = bytes(fibonacci_stream().take(4000))
+    for n in range(6):
+        extended = {p[i:i + n + 1] for i in range(len(p) - n)}
+        special = {w[:n] for w in extended
+                   if {w[:n] + b"\x00", w[:n] + b"\x01"} <= extended}
+        assert special == {p[:n][::-1]}
+
+
 def test_iterate_fixed_point_agrees_with_stream():
     w = iterate_fixed_point(FIBONACCI, 0, 100)
     assert len(w) >= 100

@@ -10,9 +10,7 @@ from aprng import prng
 from aprng.errors import AlphabetError, ParameterError
 from aprng.lattice import consecutive_tuples
 from aprng.morphic import fibonacci_stream
-from aprng.prng import (FOUND, NAMED_LCGS, UNDETERMINED, Lcg, ShuffledPrng,
-                        lcg_state_period, named_lcg, right_special_witness,
-                        stream_export)
+from aprng.prng import NAMED_LCGS, Lcg, ShuffledPrng, named_lcg, stream_export
 from aprng.specs import parse_gen_spec
 from aprng.stats import chi_square_equidist, gap_test, serial_pairs
 
@@ -381,20 +379,14 @@ def _exported(source, n):
     return sink.getvalue()
 
 
-def _witness(source, n):
-    w = right_special_witness(source, 1, 65539, 393225, budget=n)
-    return (w.verdict, w.tuple_prefix, w.position_a, w.position_b, w.scanned)
-
-
 @pytest.mark.parametrize("entry", [
     _exported,
-    _witness,
     lambda source, n: consecutive_tuples(source, n, 3).tolist(),
     lambda source, n: chi_square_equidist(source, 4, n).as_dict(),
     lambda source, n: serial_pairs(source, 4, n).as_dict(),
     lambda source, n: gap_test(source, (0.25, 0.75), n).as_dict(),
-], ids=["stream_export", "right_special_witness", "consecutive_tuples",
-        "chi_square_equidist", "serial_pairs", "gap_test"])
+], ids=["stream_export", "consecutive_tuples", "chi_square_equidist",
+        "serial_pairs", "gap_test"])
 def test_array_and_generator_sources_agree(entry):
     n = 5000
     values = named_lcg("randu").outputs(n)
@@ -402,38 +394,6 @@ def test_array_and_generator_sources_agree(entry):
     with pytest.raises(ParameterError,
                        match=f"array source holds {n - 1} values, need {n}"):
         entry(values[:n - 1], n)
-
-
-def test_right_special_witness_found():
-    arr = np.array([1, 2, 1, 3, 1, 2], dtype=np.uint32)
-    w = right_special_witness(arr, 1, 2, 3, budget=6)
-    assert bool(w) and w.verdict == FOUND
-    assert w.tuple_prefix == (1,)
-    assert (w.position_a, w.position_b) == (0, 2)
-    assert w.scanned == 6
-    # longer shared prefix
-    arr2 = np.array([7, 8, 9, 7, 8, 5], dtype=np.uint32)
-    w2 = right_special_witness(arr2, 2, 9, 5, budget=6)
-    assert w2.tuple_prefix == (7, 8) and (w2.position_a, w2.position_b) == (0, 3)
-
-
-def test_right_special_witness_undetermined():
-    arr = np.array([1, 2] * 100, dtype=np.uint32)
-    w = right_special_witness(arr, 1, 2, 3, budget=200)
-    assert not w and w.verdict == UNDETERMINED
-    assert w.tuple_prefix is None and w.scanned == 200
-    short = right_special_witness(np.array([5], dtype=np.uint32), 1, 0, 1, budget=1)
-    assert short.verdict == UNDETERMINED
-
-
-def test_right_special_witness_validation():
-    arr = np.arange(10, dtype=np.uint32)
-    with pytest.raises(ParameterError):
-        right_special_witness(arr, 0, 1, 2, budget=10)
-    with pytest.raises(ParameterError):
-        right_special_witness(arr, 1, 2, 2, budget=10)
-    with pytest.raises(ParameterError):
-        right_special_witness(arr, 1, 1, 2, budget=11)
 
 
 def brute_cycle(m, a, c, seed):
@@ -445,20 +405,6 @@ def brute_cycle(m, a, c, seed):
         x = (a * x + c) % m
         i += 1
     return i - seen[x]
-
-
-@pytest.mark.parametrize("m,a,c,seed", [
-    (16, 5, 1, 0), (10, 2, 0, 2), (10, 2, 0, 5),
-    (97, 13, 7, 3), (256, 9, 3, 17), (31, 3, 0, 1),
-])
-def test_state_period_matches_brute_force(m, a, c, seed):
-    assert lcg_state_period(m, a, c, seed, limit=10 ** 4) == brute_cycle(m, a, c, seed)
-
-
-def test_state_period_full_and_capped():
-    # c odd and a = 1 mod 4 give the full period on a power-of-two modulus
-    assert lcg_state_period(65536, 5, 1, 0) == 65536
-    assert lcg_state_period(2 ** 31, 65539, 0, 1, limit=10 ** 4) is None
 
 
 def smallest_window_period(arr):
@@ -477,8 +423,8 @@ def smallest_window_period(arr):
 
 def test_shuffled_toy_pair_has_no_short_period():
     # each 2^5-state toy on its own cycles through all 32 states ...
-    assert lcg_state_period(32, 5, 1, 0) == 32
-    assert lcg_state_period(32, 5, 7, 0) == 32
+    assert brute_cycle(32, 5, 1, 0) == 32
+    assert brute_cycle(32, 5, 7, 0) == 32
     # ... but the steered interleaving shows no period up to 1e5: a stream
     # period p would cap the window's smallest period at p
     z = ShuffledPrng(fibonacci_stream(), [Lcg(32, 5, 1), Lcg(32, 5, 7)])

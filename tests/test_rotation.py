@@ -227,7 +227,7 @@ def test_rotation_seek_letter_at_parikh():
     for pos in [0, 1, 17, 9999, 29999]:
         assert s.letter_at(pos) == ref[pos]
         assert s.position == pos + 1
-        assert s.next_letter() == ref[pos + 1]
+        assert s.take(1)[0] == ref[pos + 1]
     far = 10 ** 15
     assert s.letter_at(far) == rotation_letter(s.coding, far)
     assert s.position == far + 1

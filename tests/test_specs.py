@@ -35,7 +35,7 @@ def test_parse_number(text, value):
 
 
 @pytest.mark.parametrize("text", ["-5", "1.5", "abc", "1e-3", "", "2^", "^3",
-                                  "\u00b2"])
+                                  "\u00b2", "\u0665", "2^\u0663", "1e\u0666"])
 def test_parse_number_rejects(text):
     with pytest.raises(SpecParseError):
         parse_number(text)
@@ -214,6 +214,13 @@ def test_parse_gen_list():
     ("ar:cycle:abc", "must be digits"),
     ("rot:(1/2:(0)/1", "expected (a+b*sqrt(D))/c"),
     ("merge:xy:fib", "must be digits"),
+    # other scripts' digits, which int() reads, are placed at the first one
+    ("ar:cycle:\u0660\u0661", "non-ASCII character '\u0660' (at char 9 "),
+    ("rot:(\u0663-1*sqrt(5))/2:(0)/1", "non-ASCII character '\u0663' (at char 5 "),
+    ("morphism:\u0660->\u0660\u0661,\u0661->\u0660",
+     "non-ASCII character '\u0660' (at char 9 "),
+    ("merge:010:interleave:\u0662:fib",
+     "non-ASCII character '\u0662' (at char 21 "),
 ])
 def test_word_parse_diagnostics(text, fragment):
     with pytest.raises(SpecParseError) as exc:
@@ -239,9 +246,13 @@ def test_rule_errors_point_into_both_morphic_forms(rules):
 
 @pytest.mark.parametrize("text,pos", [("rot:(1/2:(0)/1", 4),
                                       ("rot:(3-1*sqrt(5))/2:(0)/x", 20),
-                                      ("lcg:m=ten,a=3,c=0", 6)])
+                                      ("lcg:m=ten,a=3,c=0", 6),
+                                      ("lcg:m=2^31,a=\u0663,c=0", 13),
+                                      ("shuffle:interleave:\u0662:fib:randu",
+                                       19)])
 def test_segment_errors_quote_the_whole_descriptor(text, pos):
-    parse = parse_gen_spec if text.startswith("lcg") else parse_word_spec
+    parse = (parse_gen_spec if text.startswith(("lcg", "shuffle"))
+             else parse_word_spec)
     with pytest.raises(SpecParseError) as exc:
         parse(text)
     assert (exc.value.text, exc.value.pos) == (text, pos)
@@ -355,16 +366,17 @@ def skip_prefixes():
 @pytest.mark.parametrize("text", SKIP_WORDS)
 @pytest.mark.parametrize("n", [0, 1, 4097, 10 ** 6])
 def test_skip_equals_seek(text, n, skip_prefixes):
+    # skipping n letters after a take is a forward seek from the cursor
     if text not in skip_prefixes:
         skip_prefixes[text] = bytes(make_skip_word(text).take(10 ** 6 + 67))
     ref = skip_prefixes[text]
     for start in (0, 3):
         skipped, sought = make_skip_word(text), make_skip_word(text)
         skipped.take(start)
-        skipped.skip(n)
+        skipped.seek(start + n)
         sought.seek(start + n)
         assert skipped.position == start + n
         assert bytes(skipped.take(64)) == bytes(sought.take(64)) \
             == ref[start + n:start + n + 64]
     with pytest.raises(ValueError):
-        skipped.skip(-1)
+        skipped.seek(-1)
