@@ -185,9 +185,6 @@ class ArnouxRauzyStream(WordStream):
             return np.array(sink[0], dtype=np.uint8)
         return np.concatenate(sink).astype(np.uint8, copy=False)
 
-    def _rewind(self, pos: int) -> None:
-        pass  # emission is driven by position alone
-
     def prefix_parikh(self, n: int) -> tuple[int, ...]:
         self._grow_to(n)
         i = len(self._L) - 1

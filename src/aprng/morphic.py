@@ -5,18 +5,21 @@ phi is prolongable on a letter a (phi(a) starts with a and is longer than one
 letter), iterating phi on a converges to an infinite fixed point u.
 
 Generation strategy: pick the largest power k with max_b |phi^k(b)| <= a byte
-cap, precompute the phi^k images once, and emit u as
+cap, precompute the images psi(b), psi = phi^k, once, and read u as the limit
 
-    u = psi(a) . psi(v) . psi^2(v) . psi^3(v) ...        psi = phi^k,
-                                                         psi(a) = a.v
+    u = lim psi^K(a)        psi^(K+1)(a) = psi^K(a) . psi^K(psi(a)[1:])
 
-by depth-first expansion.  The walk keeps one stack frame per expansion level,
-so memory is O(log position) while letters leave in whole precomputed blocks.
-Random access and prefix Parikh vectors descend the same tree.  Per level they
-cost one bisect over a cumulative table of exact image lengths, which has at
-most block_cap entries, plus d^2 adds that turn the block's prefix letter
-counts into the Parikh vector of the skipped subtrees.  The tables are built
-lazily and shared by every stream of the same fixed point.
+of one expansion tree.  Its root psi^(L+1)(a) = psi^L(psi(a)) is the word
+psi(a) whose letters each expand through L applications of psi; by the
+identity above, once the walk has emitted all of it, u goes on with the same
+root one level up, from index 1.  The walk keeps one stack frame per
+expansion level, so memory is O(log position) while letters leave in whole
+precomputed blocks.  Random access and prefix Parikh vectors descend the same
+tree.  Per level they cost one bisect over a cumulative table of exact image
+lengths, which has at most block_cap entries, plus d^2 adds that turn the
+block's prefix letter counts into the Parikh vector of the skipped subtrees.
+The tables are built lazily and shared by every stream of the same fixed
+point.
 """
 from __future__ import annotations
 
@@ -61,8 +64,10 @@ class Morphism:
         return ",".join(f"{a}->{word_to_text(im)}" for a, im in enumerate(self.images))
 
     def apply(self, w) -> bytes:
-        wb = as_word(w, self.alphabet_size)
-        return b"".join(self.images[a] for a in wb)
+        out = bytearray()       # bytes.join would hold 80 bytes per letter of w
+        for a in as_word(w, self.alphabet_size):
+            out += self.images[a]
+        return bytes(out)
 
     def is_prolongable(self, a: int) -> bool:
         im = self.images[a]
@@ -169,10 +174,9 @@ class _Expansion:
     """Expansion tables of psi = phi^k for one (morphism, seed, block_cap).
 
     Every stream of the same fixed point shares one instance (see
-    ``_expansion``).  Word ids 0..d-1 name the blocks psi(c) and id d names
-    the tail v of psi(seed) = seed.v.  Per word, ``counts`` holds the Parikh
-    vector of every prefix (level-independent); per (level, word), ``cum``
-    holds the cumulative lengths |psi^level(w[:i])| as exact Python ints.
+    ``_expansion``).  Per block psi(c), ``counts`` holds the Parikh vector of
+    every prefix (level-independent); per (level, c), ``cum`` holds the
+    cumulative lengths |psi^level(psi(c)[:i])| as exact Python ints.
     Tables only grow: a level or table is built in full and then published
     under the lock, so a reader on another thread sees it whole or not at all.
     """
@@ -182,10 +186,8 @@ class _Expansion:
         self.power, self.blocks = _choose_power(phi, block_cap)
         self.views = [np.frombuffer(b, dtype=np.uint8) for b in self.blocks]
         self.seed = seed
-        self.head = self.blocks[seed]          # psi(a) = a . v
-        self.words = self.blocks + [self.head[1:]]
         self.counts = []
-        for w in self.words:
+        for w in self.blocks:
             tab = np.zeros((len(w) + 1, d), dtype=np.int32)
             np.cumsum(np.frombuffer(w, np.uint8)[:, None] == np.arange(d),
                       axis=0, out=tab[1:])
@@ -214,62 +216,47 @@ class _Expansion:
                     self.levels.append((tuple(nl), tuple(npv)))
         return self.levels[level]
 
-    def cum(self, level: int, wid: int) -> list[int]:
-        key = (level, wid)
+    def cum(self, level: int, c: int) -> list[int]:
+        key = (level, c)
         tab = self._cum.get(key)
         if tab is None:
             lens = self.level(level)[0]
-            tab = [0, *accumulate(lens[c] for c in self.words[wid])]
+            tab = [0, *accumulate(lens[b] for b in self.blocks[c])]
             with self._lock:
                 tab = self._cum.setdefault(key, tab)
         return tab
 
     def descend(self, pos: int, counts: list[int] | None = None):
-        """Locate position pos of u = psi(a) . psi(v) . psi^2(v) ...
+        """Locate position pos of u = lim psi^K(seed).
 
-        Returns (frames, leaf, k): pos lies in the outer term psi^k(v)
-        (k = 0 for the head psi(a)), frames are the stack frames
-        [word, next idx, level] from that term down to level 1, and leaf is
-        the [block view, offset] cursor at pos.  When ``counts`` is given,
-        the Parikh vector of the first pos letters is added to it.  Each
-        level costs one bisect over at most block_cap table entries plus
-        d^2 adds.
+        Takes the least L >= 1 with |psi^(L+1)(seed)| > pos and bisects down
+        from the root frame [psi(seed), ., L].  Returns (frames, leaf):
+        frames are the stack frames [word, next idx, level] from the root
+        down to level 1, and leaf is the [block view, offset] cursor at pos.
+        When ``counts`` is given, the Parikh vector of the first pos letters
+        is added to it.  Each level costs one bisect over at most block_cap
+        table entries plus d^2 adds.
         """
-        if pos < len(self.head):
-            if counts is not None:
-                _add(counts, self.counts[self.seed][pos].tolist())
-            return [], [self.views[self.seed], pos], 0
-        rest = pos - len(self.head)
-        tail = len(self.blocks)
-        tail_counts = self.counts[tail][-1].tolist()
-        if counts is not None:
-            _add(counts, self.counts[self.seed][-1].tolist())
-        k = 1
-        while True:
-            tl = self.cum(k, tail)[-1]
-            if rest < tl:
-                break
-            rest -= tl
-            if counts is not None:
-                _add_image(counts, tail_counts, self.level(k)[1])
-            k += 1
+        level = 1
+        while self.level(level + 1)[0][self.seed] <= pos:
+            level += 1
         frames = []
-        wid, level = tail, k
+        c = self.seed
         while True:
-            cum = self.cum(level, wid)
-            idx = bisect_right(cum, rest) - 1
-            rest -= cum[idx]
-            word = self.words[wid]
+            cum = self.cum(level, c)
+            idx = bisect_right(cum, pos) - 1
+            pos -= cum[idx]
             if counts is not None:
-                _add_image(counts, self.counts[wid][idx].tolist(),
+                _add_image(counts, self.counts[c][idx].tolist(),
                            self.level(level)[1])
+            word = self.blocks[c]
             frames.append([word, idx + 1, level])
             c = word[idx]
             if level == 1:
                 if counts is not None:
-                    _add(counts, self.counts[c][rest].tolist())
-                return frames, [self.views[c], rest], k
-            wid, level = c, level - 1
+                    _add(counts, self.counts[c][pos].tolist())
+                return frames, [self.views[c], pos]
+            level -= 1
 
 
 @lru_cache(maxsize=16)
@@ -305,32 +292,29 @@ class FixedPointStream(WordStream):
         self.power = self._x.power
         self._blocks, self._views = self._x.blocks, self._x.views
         self.max_stack_depth = 0
-        self._rewind(0)
+        self._stack, self._leaf = self._x.descend(0)
+        self._at = 0        # the position the leaf cursor stands for
 
     # -- expansion-tree bookkeeping -------------------------------------
     #
     # A frame [word, idx, level] stands for the unemitted remainder of
     # psi^level(word): each letter word[idx:] still expands through `level`
     # applications of psi.  Frames with level 1 hand their letters' blocks
-    # straight to the leaf cursor.
-
-    def _rewind(self, pos: int) -> None:
-        self._stack, self._leaf, k = self._x.descend(pos)
-        self._next_k = k + 1
+    # straight to the leaf cursor.  The bottom frame is the root psi(seed).
 
     def _advance_leaf(self) -> None:
-        """Refill the leaf cursor from the stack (extending the outer sum)."""
+        """Refill the leaf cursor from the stack.  The root is never popped:
+        when it is spent, psi^(L+2)(a) = psi^(L+1)(a) . psi^(L+1)(psi(a)[1:])
+        restarts it at index 1 one level up."""
         stack = self._stack
         while True:
-            if not stack:
-                stack.append([self._x.words[-1], 0, self._next_k])
-                self._next_k += 1
-                if len(stack) > self.max_stack_depth:
-                    self.max_stack_depth = len(stack)
             frame = stack[-1]
             word, idx, level = frame
             if idx >= len(word):
-                stack.pop()
+                if len(stack) == 1:
+                    frame[1:] = [1, level + 1]
+                else:
+                    stack.pop()
                 continue
             frame[1] = idx + 1
             c = word[idx]
@@ -342,6 +326,9 @@ class FixedPointStream(WordStream):
                 self.max_stack_depth = len(stack)
 
     def _produce(self, n: int) -> np.ndarray:
+        if self._at != self._pos:
+            self._stack, self._leaf = self._x.descend(self._pos)
+        self._at = self._pos + n
         out = np.empty(n, dtype=np.uint8)
         filled = 0
         leaf = self._leaf
@@ -402,10 +389,8 @@ class MergedStream(WordStream):
         self.mapping = table
 
     def _produce(self, n: int) -> np.ndarray:
+        self._inner.seek(self._pos)
         return self._table[self._inner.take(n)]
-
-    def _rewind(self, pos: int) -> None:
-        self._inner.seek(pos)
 
     def fork(self) -> "MergedStream":
         return MergedStream(self._inner, self.mapping)
@@ -434,6 +419,7 @@ class InterleavedStream(WordStream):
 
     def _produce(self, n: int) -> np.ndarray:
         start = self._pos
+        self._inner.seek((start + 1) // 2)
         out = np.full(n, self._c, dtype=np.uint8)
         # even absolute positions carry inner letters
         first_even = start + (start & 1)
@@ -441,9 +427,6 @@ class InterleavedStream(WordStream):
         if n_inner:
             out[first_even - start::2] = self._inner.take(n_inner)
         return out
-
-    def _rewind(self, pos: int) -> None:
-        self._inner.seek((pos + 1) // 2)
 
     def fork(self) -> "InterleavedStream":
         return InterleavedStream(self._inner, self._c)

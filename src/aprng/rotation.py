@@ -267,9 +267,6 @@ class RotationStream(WordStream):
         self._A = np.uint64(A)
         self._T = np.uint64(_ONE - 1 - A)      # letter 1 iff x > T
 
-    def _rewind(self, pos: int) -> None:
-        pass  # position alone determines the phase
-
     def _produce(self, n: int) -> np.ndarray:
         if n == 1:
             # one letter: the exact floor rule costs less than a numpy block

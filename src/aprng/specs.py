@@ -28,6 +28,7 @@ ASCII text.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,12 +69,28 @@ def _ascii(text: str) -> str:
 # numbers
 
 _POWER = re.compile(r"(\d+)\^(\d+)([+-]\d+)?\Z")
+_EXP10 = re.compile(r"[eE]([+-]?\d(?:_?\d)*)\Z")     # as Fraction reads it
+_MAX_BITS = 1 << 16     # far above any count, modulus or seed a command takes
 
 
 def parse_number(text: str, *, where: str = "") -> int:
     """Nonnegative integer from ``2^31``, ``2^47-115``, ``1e6``, or decimal."""
     s = _ascii(text).strip()
     m = _POWER.match(s)
+    # base ** exp and Fraction's 10 ** exp are exact, so a short text can ask
+    # for a power no machine computes: bound exp * log2(base) first
+    e = None if m else _EXP10.search(s)
+    if m and int(m.group(1)) > 1:
+        bits, at = float(m.group(2)) * math.log2(int(m.group(1))), m.start(2)
+    elif e:
+        bits, at = abs(float(e.group(1))) * math.log2(10), e.start(1)
+    else:
+        bits, at = 0.0, None
+    if bits > _MAX_BITS:
+        raise SpecParseError(
+            f"exponent out of range (numbers stop at 2^{_MAX_BITS})"
+            f"{' for ' + where if where else ''}",
+            s, at)
     if m:
         base, exp, off = int(m.group(1)), int(m.group(2)), m.group(3)
         return base ** exp + (int(off) if off else 0)

@@ -1,10 +1,11 @@
 """Uniform interface over infinite words.
 
-A WordStream yields letters of a fixed infinite word over 0..d-1.  Concrete
-streams implement block production, absolute repositioning and exact
-Parikh vectors of prefixes; the base class provides seeking, single-letter
-reads and prefix materialization.  Streams are single-cursor objects: fork()
-hands out an independent stream of the same word positioned at 0.
+A WordStream yields letters of a fixed infinite word over 0..d-1.  A stream
+is a position: seek() only moves it, and concrete streams produce the block
+of letters that starts there and give exact Parikh vectors of prefixes; the
+base class provides seeking, single-letter reads and prefix materialization.
+Streams are single-cursor objects: fork() hands out an independent stream of
+the same word positioned at 0.
 """
 from __future__ import annotations
 
@@ -34,11 +35,7 @@ class WordStream(ABC):
 
     @abstractmethod
     def _produce(self, n: int) -> np.ndarray:
-        """Next n letters from the current cursor as a uint8 array."""
-
-    @abstractmethod
-    def _rewind(self, pos: int) -> None:
-        """Move the production cursor to absolute position pos."""
+        """Letters position .. position+n-1 as a uint8 array."""
 
     @abstractmethod
     def fork(self) -> "WordStream":
@@ -56,7 +53,6 @@ class WordStream(ABC):
     def seek(self, pos: int) -> None:
         if pos < 0:
             raise ValueError("position must be >= 0")
-        self._rewind(pos)
         self._pos = pos
 
     def letter_at(self, pos: int) -> int:
@@ -90,9 +86,6 @@ class CycleStream(WordStream):
         start = self._pos % L
         reps = (start + n + L - 1) // L
         return np.tile(self._pat, reps)[start:start + n]
-
-    def _rewind(self, pos: int) -> None:
-        pass  # position alone determines the phase
 
     def fork(self) -> "CycleStream":
         return CycleStream(self.pattern, self._d)

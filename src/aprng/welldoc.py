@@ -194,19 +194,23 @@ def _scan(stream: WordStream, m: int, min_len: int, max_len: int,
     return levels, taken
 
 
-def _report(factor: bytes, m: int, d: int, hits: np.ndarray, wit,
-            prefix_scanned: int) -> WelldocReport:
-    vecs = [v[::-1] for v in product(range(m), repeat=d)]    # by code
-    seen = hits > 0
-    codes = np.nonzero(seen)[0].tolist()
-    return WelldocReport(
-        factor=factor, modulus=m, alphabet_size=d,
-        verdict=COVERED if seen.all() else UNDETERMINED,
-        covered=tuple(vecs[c] for c in codes),
-        missing=tuple(vecs[c] for c in np.nonzero(~seen)[0].tolist()),
-        occurrences_seen=int(hits.sum()), prefix_scanned=prefix_scanned,
-        witnesses={vecs[c]: tuple(wit[c, :min(int(hits[c]), 2)].tolist())
-                   for c in codes})
+def _reporter(m: int, d: int, prefix_scanned: int):
+    """Report builder for the factors of one scan; the m^d residue vectors
+    are listed once, by code, for all of them."""
+    vecs = [v[::-1] for v in product(range(m), repeat=d)]
+
+    def report(factor: bytes, hits: np.ndarray, wit) -> WelldocReport:
+        seen = hits > 0
+        codes = np.nonzero(seen)[0].tolist()
+        return WelldocReport(
+            factor=factor, modulus=m, alphabet_size=d,
+            verdict=COVERED if seen.all() else UNDETERMINED,
+            covered=tuple(vecs[c] for c in codes),
+            missing=tuple(vecs[c] for c in np.nonzero(~seen)[0].tolist()),
+            occurrences_seen=int(hits.sum()), prefix_scanned=prefix_scanned,
+            witnesses={vecs[c]: tuple(wit[c, :min(int(hits[c]), 2)].tolist())
+                       for c in codes})
+    return report
 
 
 def welldoc_check(q: WelldocQuery) -> WelldocReport:
@@ -225,7 +229,7 @@ def welldoc_check(q: WelldocQuery) -> WelldocReport:
 
     levels, taken = _scan(q.stream, m, L, L, q.max_prefix,
                           lambda levels: row(levels)[0].min() >= 2)
-    return _report(q.factor, m, d, *row(levels), taken)
+    return _reporter(m, d, taken)(q.factor, *row(levels))
 
 
 def welldoc_scan(stream: WordStream, m: int, max_factor_len: int,
@@ -242,12 +246,13 @@ def welldoc_scan(stream: WordStream, m: int, max_factor_len: int,
         raise ParameterError("prefix budget must exceed the factor length")
     d = stream.alphabet_size
     levels, taken = _scan(stream, m, 1, max_factor_len, max_prefix)
+    report = _reporter(m, d, taken)
     out = {}
     names = [b""]
     for lv in levels:
         names = [names[k // d] + bytes((k % d,)) for k in lv.keys]
         for name, i in sorted(zip(names, range(len(names)))):
-            out[name] = _report(name, m, d, lv.hits[i], lv.wit[i], taken)
+            out[name] = report(name, lv.hits[i], lv.wit[i])
     return out
 
 

@@ -30,3 +30,9 @@ def test_public_api_is_pinned():
                    and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 64
+
+
+def test_word_stream_protocol_is_pinned():
+    # a stream is a position: seek moves it, and no repositioning hook exists
+    assert aprng.WordStream.__abstractmethods__ == {
+        "_produce", "fork", "prefix_parikh"}

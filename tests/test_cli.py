@@ -263,6 +263,10 @@ def test_argparse_rejects_bad_values(capsys):
         main(["stats", "randu", "--test", "gap",
               "--interval", "\u0660.25,0.75"])
     assert "interval bounds must be numbers" in capsys.readouterr().err
+    # a short power is bounded before it is computed
+    with pytest.raises(SystemExit):
+        main(["word", "fib", "--count", "9^99999999"])
+    assert "exponent out of range" in capsys.readouterr().err
 
 
 def test_module_entry_point():

@@ -279,6 +279,8 @@ def test_far_access_matches_oracles(name, cap, naive_prefixes):
             assert follow[-1] == rotation_letter(coding, pos + FOLLOW)
         # a different block cap decomposes the word into other trees
         assert access_record(ref, pos) == rec, pos
+    # one straight walk through every root restart below NAIVE_LEN
+    assert bytes(FixedPointStream(phi, 0, block_cap=cap).take(NAIVE_LEN)) == naive
 
 
 @pytest.mark.parametrize("cap", [5, 6, 8, 9, 10, 11])

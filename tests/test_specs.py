@@ -28,21 +28,24 @@ def test_aliases():
 @pytest.mark.parametrize("text,value", [
     ("2^31", 2 ** 31), ("2^47-115", 2 ** 47 - 115), ("13^13", 13 ** 13),
     ("2^10+3", 1027), ("1000000", 10 ** 6), ("1e6", 10 ** 6),
-    ("0", 0), ("5e3", 5000),
+    ("0", 0), ("5e3", 5000), ("1^99999999", 1),
 ])
 def test_parse_number(text, value):
     assert parse_number(text) == value
 
 
 @pytest.mark.parametrize("text", ["-5", "1.5", "abc", "1e-3", "", "2^", "^3",
-                                  "\u00b2", "\u0665", "2^\u0663", "1e\u0666"])
+                                  "\u00b2", "\u0665", "2^\u0663", "1e\u0666",
+                                  "9^99999999", "2^65537", "1e99999999",
+                                  "1e-99999999", "1E9_999_999"])
 def test_parse_number_rejects(text):
     with pytest.raises(SpecParseError):
         parse_number(text)
 
 
 def test_format_number_round_trips():
-    cases = [0, 7, 100, 255, 256, 1024, 2 ** 31, 2 ** 64, 65539, 10 ** 6]
+    cases = [0, 7, 100, 255, 256, 1024, 2 ** 31, 2 ** 64, 65539, 10 ** 6,
+             2 ** 65536]
     for n in cases:
         assert parse_number(format_number(n)) == n
     assert format_number(256) == "2^8"
@@ -248,6 +251,7 @@ def test_rule_errors_point_into_both_morphic_forms(rules):
                                       ("rot:(3-1*sqrt(5))/2:(0)/x", 20),
                                       ("lcg:m=ten,a=3,c=0", 6),
                                       ("lcg:m=2^31,a=\u0663,c=0", 13),
+                                      ("lcg:m=9^99999999,a=3,c=0", 8),
                                       ("shuffle:interleave:\u0662:fib:randu",
                                        19)])
 def test_segment_errors_quote_the_whole_descriptor(text, pos):
@@ -378,5 +382,13 @@ def test_skip_equals_seek(text, n, skip_prefixes):
         assert skipped.position == start + n
         assert bytes(skipped.take(64)) == bytes(sought.take(64)) \
             == ref[start + n:start + n + 64]
+    # a seek only moves the position: forward past a take, back, and twice
+    # to one place
+    lazy = make_skip_word(text)
+    lazy.take(3)
+    lazy.seek(n + 67)
+    lazy.seek(n)
+    lazy.seek(n)
+    assert bytes(lazy.take(64)) == ref[n:n + 64]
     with pytest.raises(ValueError):
         skipped.seek(-1)
