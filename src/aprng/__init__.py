@@ -63,7 +63,6 @@ from .lattice import (
     LatticeReport,
     candidate_normals,
     consecutive_tuples,
-    dump_points,
     full_lattice_class_count,
     plane_count,
     search_normals,

@@ -3,18 +3,22 @@
 One process, one command.  Letters print as ASCII digits by default
 (``--raw`` switches to one byte per letter), generator streams are raw
 little-endian 32-bit words, analysis results are JSON.  Identical
-invocations produce byte-identical output.
+invocations produce byte-identical output.  Only this module opens
+files: the library writers take an open file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
+import numpy as np
+
 from .errors import SpecParseError
-from .lattice import (consecutive_tuples, dump_points, plane_count,
-                      search_normals)
+from .lattice import consecutive_tuples, plane_count, search_normals
 from .prng import stream_export
 from .specs import build_word, parse_gen_spec, parse_number
 from .stats import (LowBitsSource, ScaledSource, chi_square_equidist,
@@ -58,33 +62,11 @@ def _normal(text: str) -> tuple[int, ...]:
             f"expected comma separated integers like 9,-6,1, got {text!r}") from None
 
 
-def _print_json(obj, stream=None) -> None:
-    stream = stream or sys.stdout
-    json.dump(obj, stream, indent=2)
-    stream.write("\n")
-
-
-class _Sink:
-    """Binary output target: a path, or '-' for stdout."""
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def __enter__(self):
-        if self.path == "-":
-            self._own = False
-            self._f = sys.stdout.buffer
-        else:
-            self._own = True
-            self._f = open(self.path, "wb")
-        return self._f
-
-    def __exit__(self, *exc):
-        if self._own:
-            self._f.close()
-        else:
-            self._f.flush()
-        return False
+def _output(path: str):
+    """Binary output target: stdout for '-', which stays open, else a file."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout.buffer)
+    return open(path, "wb")
 
 
 def _make_gen(args) -> object:
@@ -98,7 +80,7 @@ def _make_gen(args) -> object:
 def _cmd_word(args) -> int:
     stream = build_word(args.spec)
     remaining = args.count
-    with _Sink(args.out) as f:
+    with _output(args.out) as f:
         while remaining > 0:
             take = min(_TEXT_CHUNK, remaining)
             chunk = stream.take(take)
@@ -111,7 +93,7 @@ def _cmd_word(args) -> int:
 
 def _cmd_gen(args) -> int:
     gen = _make_gen(args)
-    with _Sink(args.out) as f:
+    with _output(args.out) as f:
         stream_export(gen, args.count, f)
     return 0
 
@@ -129,22 +111,20 @@ def _cmd_welldoc(args) -> int:
     verdict = ("COVERED" if all(v.verdict == "COVERED"
                                 for v in reports.values())
                else "UNDETERMINED")
-    _print_json({
+    print(json.dumps({
         "word": args.spec,
         "modulus": args.m,
         "max_factor_len": args.factor_len,
         "prefix": args.prefix,
         "verdict": verdict,
         "factors": factors,
-    })
+    }, indent=2))
     return 0
 
 
 def _cmd_lattice(args) -> int:
     gen = _make_gen(args)
-    scale = args.scale
-    if scale is None:
-        scale = getattr(gen, "out_range", None) or 1 << 32
+    scale = gen.out_range if args.scale is None else args.scale
     tuples = consecutive_tuples(gen, args.sample, args.t)
     result = {
         "generator": args.spec,
@@ -163,9 +143,10 @@ def _cmd_lattice(args) -> int:
         result["reports"] = [r.as_dict() for r in reports[:_REPORT_CAP]]
     # after the analysis, which rejects a sample outside the scale's cube
     if args.dump:
-        dump_points(tuples, scale, args.dump)
+        with open(args.dump, "w") as f:
+            np.savetxt(f, tuples / float(scale), fmt="%.10f", delimiter=",")
     if args.json:
-        _print_json(result)
+        print(json.dumps(result, indent=2))
     else:
         best = result["best"]
         print(f"best normal {tuple(best['normal'])}: "
@@ -178,7 +159,7 @@ def _cmd_stats(args) -> int:
     gen = _make_gen(args)
     if args.lowbits:
         gen = LowBitsSource(gen, args.lowbits)
-    elif getattr(gen, "out_range", 1 << 32) not in (None, 1 << 32):
+    elif gen.out_range != 1 << 32:
         gen = ScaledSource(gen)
     if args.test == "chi2":
         report = chi_square_equidist(gen, args.bins, args.n)
@@ -187,7 +168,7 @@ def _cmd_stats(args) -> int:
     else:
         report = gap_test(gen, args.interval, args.n)
     if args.json:
-        _print_json(report.as_dict())
+        print(json.dumps(report.as_dict(), indent=2))
     else:
         print(f"{report.name}: statistic {report.statistic:.4f} "
               f"df {report.df} p {report.p_value:.6g} (n {report.n})")
@@ -282,8 +263,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed pipe raises here, inside main
+        return code
     except BrokenPipeError:
+        # the reader left; stdout keeps the unwritten bytes, and the flush at
+        # interpreter exit would fail again, so it goes to devnull instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 0
     except (ValueError, OSError, MemoryError) as e:
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)

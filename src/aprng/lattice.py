@@ -63,8 +63,9 @@ def consecutive_tuples(source, n: int, t: int) -> np.ndarray:
         raise ParameterError("t must be >= 1")
     if n < t:
         raise ParameterError("need at least t outputs")
-    arr, = _value_chunks(source, n, n)
-    return np.lib.stride_tricks.sliding_window_view(arr.astype(np.int64), t)
+    arr = np.concatenate(list(_value_chunks(source, n, n)), dtype=np.int64,
+                         casting="unsafe")
+    return np.lib.stride_tricks.sliding_window_view(arr, t)
 
 
 def full_lattice_class_count(normal, scale: int) -> int:
@@ -215,18 +216,3 @@ def search_normals(tuples: np.ndarray, scale: int, bound: int = 10,
                for i, nv in enumerate(normals)]
     reports.sort(key=lambda r: (r.ratio, r.normal))
     return reports
-
-
-def dump_points(tuples: np.ndarray, scale: int, sink) -> int:
-    """Write the sample as CSV rows normalized to [0,1); returns row count."""
-    pts = np.asarray(tuples, dtype=np.float64) / float(scale)
-    own = False
-    if not hasattr(sink, "write"):
-        sink = open(sink, "w")
-        own = True
-    try:
-        np.savetxt(sink, pts, fmt="%.10f", delimiter=",")
-        return int(pts.shape[0])
-    finally:
-        if own:
-            sink.close()

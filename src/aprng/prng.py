@@ -313,45 +313,33 @@ class ShuffledPrng:
 
 def _value_chunks(source, n: int, size: int):
     """The first n values of an ndarray, or of anything with .outputs(k),
-    in pieces of at most size values (a source may return fewer); n = 0
-    gives one empty piece."""
+    in pieces of at most size values (a source may return fewer)."""
     array = isinstance(source, np.ndarray)
     if array and source.size < n:
         raise ParameterError(
             f"array source holds {source.size} values, need {n}")
     off = 0
-    while True:
+    while off < n:
         k = min(size, n - off)
         piece = source[off:off + k] if array else source.outputs(k)
-        if piece.size == 0 and k:
+        if piece.size == 0:
             raise ParameterError(f"source gave no values with {n - off} owed")
         yield piece
         off += piece.size
-        if off >= n:
-            return
 
 
 def stream_export(source, n: int, sink) -> int:
-    """Write n outputs as little-endian 32-bit words; returns bytes written.
-
-    sink may be a binary file object or a path.  Byte-identical across runs
-    for identical parameters and seeds.
+    """Write n outputs as little-endian 32-bit words to the writable binary
+    file sink; returns bytes written.  Byte-identical across runs for
+    identical parameters and seeds.
     """
     if n < 0:
         raise ParameterError("n must be >= 0")
-    own = False
-    if not hasattr(sink, "write"):
-        sink = open(sink, "wb")
-        own = True
-    try:
-        written = 0
-        for chunk in _value_chunks(source, n, _CHUNK):
-            # no copy of a contiguous uint32 chunk on a little-endian host
-            data = np.ascontiguousarray(chunk, dtype="<u4")
-            sink.write(data)
-            written += data.nbytes
-        sink.flush()
-        return written
-    finally:
-        if own:
-            sink.close()
+    written = 0
+    for chunk in _value_chunks(source, n, _CHUNK):
+        # no copy of a contiguous uint32 chunk on a little-endian host
+        data = np.ascontiguousarray(chunk, dtype="<u4")
+        sink.write(data)
+        written += data.nbytes
+    sink.flush()
+    return written

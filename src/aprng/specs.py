@@ -22,7 +22,8 @@ Generator forms::
     shuffle:<word>:<gen>,<gen>[,<gen>...]
 
 Numbers accept ``2^31``, ``2^47-115``, ``13^13``, plain decimal, and
-integral scientific notation like ``1e6``.  Descriptors and numbers are
+integral scientific notation like ``1e6`` or ``2.5e1``, with no sign, no
+underscores and no digit run longer than 4300.  Descriptors and numbers are
 ASCII text.
 """
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import SpecParseError
 from .morphic import (FIBONACCI, TRIBONACCI, FixedPointStream,
@@ -68,43 +68,46 @@ def _ascii(text: str) -> str:
 # --------------------------------------------------------------------------
 # numbers
 
-_POWER = re.compile(r"(\d+)\^(\d+)([+-]\d+)?\Z")
-_EXP10 = re.compile(r"[eE]([+-]?\d(?:_?\d)*)\Z")     # as Fraction reads it
+# decimal, <base>^<exp>[+-<k>], or <d>[.<d>]e[+-]<d> with an integral value
+_NUMBER = re.compile(r"(\d+)(?:\^(\d+)([+-]\d+)?|(?:\.(\d+))?[eE]([+-]?\d+))?\Z")
+_MAX_DIGITS = 4300      # longest digit run int() reads by default
 _MAX_BITS = 1 << 16     # far above any count, modulus or seed a command takes
 
 
 def parse_number(text: str, *, where: str = "") -> int:
-    """Nonnegative integer from ``2^31``, ``2^47-115``, ``1e6``, or decimal."""
+    """Nonnegative integer from ``2^31``, ``2^47-115``, ``1e6``, ``2.5e1``,
+    or decimal."""
     s = _ascii(text).strip()
-    m = _POWER.match(s)
-    # base ** exp and Fraction's 10 ** exp are exact, so a short text can ask
-    # for a power no machine computes: bound exp * log2(base) first
-    e = None if m else _EXP10.search(s)
-    if m and int(m.group(1)) > 1:
-        bits, at = float(m.group(2)) * math.log2(int(m.group(1))), m.start(2)
-    elif e:
-        bits, at = abs(float(e.group(1))) * math.log2(10), e.start(1)
-    else:
-        bits, at = 0.0, None
-    if bits > _MAX_BITS:
+    suffix = f" for {where}" if where else ""
+    if long := re.search(r"\d{%d}" % (_MAX_DIGITS + 1), s):
         raise SpecParseError(
-            f"exponent out of range (numbers stop at 2^{_MAX_BITS})"
-            f"{' for ' + where if where else ''}",
-            s, at)
+            f"more than {_MAX_DIGITS} digits in a row{suffix}", s, long.start())
+    m = _NUMBER.match(s)
+    value = -1
     if m:
-        base, exp, off = int(m.group(1)), int(m.group(2)), m.group(3)
-        return base ** exp + (int(off) if off else 0)
-    if s.isdecimal():
-        return int(s)
-    try:
-        v = Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        v = None
-    if v is not None and v.denominator == 1 and v >= 0:
-        return int(v)
-    raise SpecParseError(
-        f"expected a number (like 1000000, 2^31, 2^47-115, or 1e6)"
-        f"{' for ' + where if where else ''}, got {text!r}", text)
+        head, exp, off, frac, exp10 = m.groups()
+        # base ** exp and 10 ** exp are exact, so a short text can ask for a
+        # power no machine computes: bound exp * log2(base) first
+        if exp or exp10:
+            bits = (float(exp) * math.log2(max(int(head), 1)) if exp
+                    else abs(float(exp10)) * math.log2(10))
+            if bits > _MAX_BITS:
+                raise SpecParseError(
+                    f"exponent out of range (numbers stop at 2^{_MAX_BITS})"
+                    f"{suffix}", s, m.start(2 if exp else 5))
+        if exp:
+            value = int(head) ** int(exp) + int(off or 0)
+        else:
+            frac = frac or ""
+            shift = int(exp10 or 0) - len(frac)
+            mant = int(head) * 10 ** len(frac) + int(frac or 0)
+            value = mant * 10 ** shift if shift >= 0 else (
+                mant // 10 ** -shift if mant % 10 ** -shift == 0 else -1)
+    if value < 0:
+        raise SpecParseError(
+            f"expected a number (like 1000000, 2^31, 2^47-115, or 1e6)"
+            f"{suffix}, got {text!r}", text)
+    return value
 
 
 def format_number(n: int) -> str:

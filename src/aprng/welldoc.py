@@ -201,15 +201,19 @@ def _reporter(m: int, d: int, prefix_scanned: int):
 
     def report(factor: bytes, hits: np.ndarray, wit) -> WelldocReport:
         seen = hits > 0
-        codes = np.nonzero(seen)[0].tolist()
+        at = np.nonzero(seen)[0]
+        codes = at.tolist()
+        # one numpy call per factor, not one per residue vector
+        rows = wit[at].tolist() if codes else []
+        keep = np.minimum(hits[at], 2).tolist()
         return WelldocReport(
             factor=factor, modulus=m, alphabet_size=d,
             verdict=COVERED if seen.all() else UNDETERMINED,
             covered=tuple(vecs[c] for c in codes),
             missing=tuple(vecs[c] for c in np.nonzero(~seen)[0].tolist()),
             occurrences_seen=int(hits.sum()), prefix_scanned=prefix_scanned,
-            witnesses={vecs[c]: tuple(wit[c, :min(int(hits[c]), 2)].tolist())
-                       for c in codes})
+            witnesses={vecs[c]: tuple(r[:k])
+                       for c, r, k in zip(codes, rows, keep)})
     return report
 
 

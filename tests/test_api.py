@@ -1,3 +1,4 @@
+import pathlib
 import types
 
 import aprng
@@ -14,13 +15,13 @@ PUBLIC_NAMES = [
     "SpecParseError", "StatsReport", "THUE_MORSE", "TRIBONACCI",
     "WelldocQuery", "WelldocReport", "WordSpec", "WordStream", "as_word",
     "build_gen", "build_word", "candidate_normals", "chi_square_equidist",
-    "consecutive_tuples", "dump_points", "fibonacci_rotation",
-    "fibonacci_stream", "full_lattice_class_count", "gap_test",
-    "iterate_fixed_point", "iterated_palindromic_closure", "naive_stream",
-    "named_lcg", "palindromic_closure", "parikh", "parse_gen_spec",
-    "parse_word_spec", "plane_count", "preserves_welldoc", "rotation_letter",
-    "search_normals", "serial_pairs", "stream_export", "tribonacci_stream",
-    "welldoc_check", "welldoc_scan", "word_to_text",
+    "consecutive_tuples", "fibonacci_rotation", "fibonacci_stream",
+    "full_lattice_class_count", "gap_test", "iterate_fixed_point",
+    "iterated_palindromic_closure", "naive_stream", "named_lcg",
+    "palindromic_closure", "parikh", "parse_gen_spec", "parse_word_spec",
+    "plane_count", "preserves_welldoc", "rotation_letter", "search_normals",
+    "serial_pairs", "stream_export", "tribonacci_stream", "welldoc_check",
+    "welldoc_scan", "word_to_text",
 ]
 
 
@@ -29,7 +30,15 @@ def test_public_api_is_pinned():
                    if not name.startswith("_")
                    and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 64
+    assert len(PUBLIC_NAMES) == 63
+
+
+def test_only_the_cli_opens_files():
+    # library writers take an open file; the command line owns the paths
+    package = pathlib.Path(aprng.__file__).parent
+    openers = sorted(p.name for p in package.glob("*.py")
+                     if "open(" in p.read_text())
+    assert openers == ["cli.py"]
 
 
 def test_word_stream_protocol_is_pinned():

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from aprng.cli import main
+from aprng.lattice import consecutive_tuples
 from aprng.morphic import fibonacci_stream, tribonacci_stream
 from aprng.prng import ShuffledPrng, named_lcg, stream_export
 
@@ -160,10 +161,10 @@ def test_lattice_normal_text_and_dump(capsys, tmp_path):
                      "--dump", str(csv))
     assert rc == 0
     assert out.startswith("best normal (9, -6, 1): ")
-    rows = csv.read_text().strip().splitlines()
-    assert len(rows) == 998               # n - t + 1 tuples
-    first = [float(v) for v in rows[0].split(",")]
-    assert len(first) == 3 and all(0.0 <= v < 1.0 for v in first)
+    rows = csv.read_text().splitlines()
+    want = consecutive_tuples(named_lcg("randu"), 1000, 3) / 2 ** 31
+    assert len(rows) == len(want) == 998      # n - t + 1 tuples
+    assert rows == [",".join(f"{v:.10f}" for v in row) for row in want]
 
 
 def test_lattice_search_json(capsys):
@@ -267,6 +268,10 @@ def test_argparse_rejects_bad_values(capsys):
     with pytest.raises(SystemExit):
         main(["word", "fib", "--count", "9^99999999"])
     assert "exponent out of range" in capsys.readouterr().err
+    # int() reads no digit run beyond 4300 without a Python setting
+    with pytest.raises(SystemExit):
+        main(["word", "fib", "--count", "9" * 5000])
+    assert "more than 4300 digits" in capsys.readouterr().err
 
 
 def test_module_entry_point():
@@ -275,6 +280,27 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60)
     assert out.returncode == 0
     assert out.stdout == FIB32 + "\n"
+
+
+@pytest.mark.parametrize("argv,read", [
+    (["word", "fib", "--raw", "--count", "3e8"], 10),
+    (["gen", "l64_28", "--count", "5e7"], 10),
+    (["word", "fib", "--count", "5"], 0),
+    (["gen", "l64_28", "--count", "3"], 0),
+    (["stats", "randu", "--test", "chi2", "--n", "1e4"], 0),
+], ids=["word", "gen", "word_short", "gen_short", "stats_short"])
+def test_closed_pipe_ends_quietly(argv, read):
+    # a reader that stops early (head -c 10) closes the pipe mid-stream; one
+    # that leaves at once finds a short output still buffered, and the flush
+    # must raise inside main, not at interpreter exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    p = subprocess.Popen([sys.executable, "-m", "aprng.cli", *argv],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         env=env)
+    assert len(p.stdout.read(read)) == read
+    p.stdout.close()
+    err = p.stderr.read()
+    assert p.wait(timeout=60) == 0 and err == b""
 
 
 def test_modulus_above_2_64_is_rejected(capsys, tmp_path):

@@ -1,11 +1,9 @@
-import io
-
 import numpy as np
 import pytest
 
 from aprng import lattice
 from aprng.errors import ParameterError
-from aprng.lattice import (candidate_normals, consecutive_tuples, dump_points,
+from aprng.lattice import (candidate_normals, consecutive_tuples,
                            full_lattice_class_count, plane_count,
                            search_normals)
 from aprng.morphic import fibonacci_stream
@@ -218,16 +216,3 @@ def test_pruned_search_matches_oracle_across_stages(source, monkeypatch):
     assert late
     assert any(r.plane_count < r.comparison for r in want)
     assert search_normals(tuples, scale, bound=10) == want
-
-
-def test_dump_points_csv(tmp_path):
-    pts = np.array([[0, 512], [1024, 256]], dtype=np.int64)
-    sink = io.StringIO()
-    assert dump_points(pts, 1024, sink) == 2
-    rows = [line.split(",") for line in sink.getvalue().strip().splitlines()]
-    vals = [[float(v) for v in row] for row in rows]
-    assert vals[0] == pytest.approx([0.0, 0.5])
-    assert vals[1] == pytest.approx([1.0, 0.25])
-    p = tmp_path / "pts.csv"
-    assert dump_points(pts, 1024, p) == 2
-    assert p.read_text() == sink.getvalue()

@@ -28,7 +28,7 @@ def test_aliases():
 @pytest.mark.parametrize("text,value", [
     ("2^31", 2 ** 31), ("2^47-115", 2 ** 47 - 115), ("13^13", 13 ** 13),
     ("2^10+3", 1027), ("1000000", 10 ** 6), ("1e6", 10 ** 6),
-    ("0", 0), ("5e3", 5000), ("1^99999999", 1),
+    ("0", 0), ("5e3", 5000), ("1^99999999", 1), ("2.5e1", 25),
 ])
 def test_parse_number(text, value):
     assert parse_number(text) == value
@@ -37,10 +37,22 @@ def test_parse_number(text, value):
 @pytest.mark.parametrize("text", ["-5", "1.5", "abc", "1e-3", "", "2^", "^3",
                                   "\u00b2", "\u0665", "2^\u0663", "1e\u0666",
                                   "9^99999999", "2^65537", "1e99999999",
-                                  "1e-99999999", "1E9_999_999"])
+                                  "1e-99999999", "1E9_999_999", "6/2",
+                                  "1_000", "+5", "1.0", "2^1-5"])
 def test_parse_number_rejects(text):
     with pytest.raises(SpecParseError):
         parse_number(text)
+
+
+def test_long_digit_runs_are_placed_spec_errors():
+    # int() reads at most 4300 digits unless a Python setting is raised
+    nines = "9" * 5000
+    for parse, text, pos in ((parse_number, nines, 0),
+                             (parse_number, "2^" + nines, 2),
+                             (parse_gen_spec, f"lcg:m=1,a=0,c={nines}", 14)):
+        with pytest.raises(SpecParseError, match="more than 4300 digits") as exc:
+            parse(text)
+        assert (exc.value.text, exc.value.pos) == (text, pos)
 
 
 def test_format_number_round_trips():

@@ -5,6 +5,7 @@ from scipy.stats import distributions
 
 from aprng import stats
 from aprng.errors import InsufficientDataError, ParameterError
+from aprng.lattice import consecutive_tuples
 from aprng.prng import Lcg, named_lcg
 from aprng.stats import (ConstantSource, LowBitsSource, RandomSource,
                          ScaledSource, chi_square_equidist, gap_test,
@@ -115,6 +116,8 @@ def test_serial_matches_direct_computation_and_chunking():
     trick = serial_pairs(Trickle(arr, 997), 4, 10001)
     assert trick.statistic == pytest.approx(rep.statistic, rel=1e-12)
     assert trick.details == rep.details
+    assert np.array_equal(consecutive_tuples(Trickle(arr, 997), 10001, 3),
+                          consecutive_tuples(arr, 10001, 3))
 
 
 def test_gap_test_matches_definitional_oracle():
