@@ -13,10 +13,10 @@ word by resuffixing itself, which is what the stream implementation uses:
                                                   delta_j = delta_i
 
 Each step at least roughly doubles the known prefix, so reaching position N
-takes O(log N) steps; only a bounded head of the word is materialized and
-deeper letters are resolved by mapping intervals back through the recurrence.
-A prefix Parikh vector costs d adds per step plus one lookup in the head's
-Parikh checkpoints, which rescans at most one checkpoint stride of letters.
+takes O(log N) steps; only a bounded head of the word is materialized, in
+one array the recurrence fills in place, and deeper letters are resolved by
+mapping intervals back through the recurrence.  A prefix Parikh vector never
+reads letters: the same walk, down to b_0 = epsilon, costs d adds per step.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DirectiveError
 from .morphic import FixedPointStream
 from .streams import CycleStream, WordStream
-from .words import PrefixBuffer, as_word
+from .words import as_word
 
 DIRECTIVE_CHECK_HORIZON = 1000
 _HEAD_CAP = 1 << 22         # letters a stream keeps materialized at most
@@ -100,9 +100,8 @@ class ArnouxRauzyStream(WordStream):
             raise DirectiveError(f"letters {missing} {why}")
         self._dir_source = directive
         self._dir = directive.fork()
-        self._cap = _HEAD_CAP
-        self._buf = bytearray()
-        self._head = PrefixBuffer(b"", d)
+        self._head = np.empty(_HEAD_CAP, np.uint8)
+        self._n = 0                                 # letters of _head filled
         self._L: list[int] = [0]
         self._steps: list[tuple[int, int]] = []     # (letter, j); j < 0: new
         self._P: list[tuple[int, ...]] = [(0,) * d]
@@ -121,13 +120,16 @@ class ArnouxRauzyStream(WordStream):
         else:
             L_next = 2 * L_i - self._L[j]
             vec = [2 * c - cj for c, cj in zip(self._P[-1], self._P[j])]
-        # lengths grow strictly, so while b_{i+1} fits, b_i fills the buffer
-        if L_next <= self._cap:
+        # lengths grow strictly, so while b_{i+1} fits, b_i fills the head;
+        # neither copy overlaps its source
+        h = self._head
+        if L_next <= h.size:
             if j < 0:
-                self._buf.append(letter)
-                self._buf += self._buf[:L_i]
+                h[L_i] = letter
+                h[L_i + 1:L_next] = h[:L_i]
             else:
-                self._buf += self._buf[self._L[j]:L_i]
+                h[L_i:L_next] = h[self._L[j]:L_i]
+            self._n = L_next
         self._last[letter] = len(self._steps)
         self._steps.append((letter, j))
         self._L.append(L_next)
@@ -140,21 +142,13 @@ class ArnouxRauzyStream(WordStream):
 
     # -- interval resolution --------------------------------------------
 
-    def _materialized_head(self) -> PrefixBuffer:
-        """The materialized prefix with its Parikh checkpoints, rebuilt once
-        per growth of the buffer (growth is geometric and stops at the cap)."""
-        if len(self._head) != len(self._buf):
-            self._head = PrefixBuffer(
-                np.frombuffer(bytes(self._buf), dtype=np.uint8), self._d)
-        return self._head
-
     def _emit(self, i: int, lo: int, hi: int, sink: list) -> None:
         """Append the letters b_i[lo:hi] to sink as arrays."""
         while True:
             if hi <= lo:
                 return
-            if self._L[i] <= len(self._buf):
-                sink.append(self._materialized_head().letters[lo:hi])
+            if self._L[i] <= self._n:
+                sink.append(self._head[lo:hi])
                 return
             letter, j = self._steps[i - 1]
             Lp = self._L[i - 1]
@@ -181,16 +175,14 @@ class ArnouxRauzyStream(WordStream):
         self._grow_to(end)
         sink: list = []
         self._emit(len(self._L) - 1, start, end, sink)
-        if len(sink) == 1:
-            return np.array(sink[0], dtype=np.uint8)
-        return np.concatenate(sink).astype(np.uint8, copy=False)
+        return np.concatenate(sink)     # a fresh array: the head is writable
 
-    def prefix_parikh(self, n: int) -> tuple[int, ...]:
+    def _prefix_parikh(self, n: int) -> tuple[int, ...]:
         self._grow_to(n)
         i = len(self._L) - 1
         counts = [0] * self._d
         p = n
-        while self._L[i] > len(self._buf):
+        while p:
             if p <= self._L[i - 1]:
                 i -= 1
                 continue
@@ -208,8 +200,7 @@ class ArnouxRauzyStream(WordStream):
                     counts[a] -= vj[a]
                 p = p - Lp + self._L[j]
             i -= 1
-        tail = self._materialized_head().parikh_of_prefix(p)
-        return tuple(c + t for c, t in zip(counts, tail))
+        return tuple(counts)
 
     def fork(self) -> "ArnouxRauzyStream":
         return ArnouxRauzyStream(self._dir_source)

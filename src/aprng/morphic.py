@@ -345,10 +345,8 @@ class FixedPointStream(WordStream):
             filled += step
         return out
 
-    def prefix_parikh(self, n: int) -> tuple[int, ...]:
+    def _prefix_parikh(self, n: int) -> tuple[int, ...]:
         """Exact letter counts of the first n letters, from the descent tables."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
         counts = [0] * self._d
         self._x.descend(n, counts)
         return tuple(counts)
@@ -395,7 +393,7 @@ class MergedStream(WordStream):
     def fork(self) -> "MergedStream":
         return MergedStream(self._inner, self.mapping)
 
-    def prefix_parikh(self, n: int) -> tuple[int, ...]:
+    def _prefix_parikh(self, n: int) -> tuple[int, ...]:
         counts = [0] * self._d
         for a, c in enumerate(self._inner.prefix_parikh(n)):
             counts[self.mapping[a]] += c
@@ -431,7 +429,7 @@ class InterleavedStream(WordStream):
     def fork(self) -> "InterleavedStream":
         return InterleavedStream(self._inner, self._c)
 
-    def prefix_parikh(self, n: int) -> tuple[int, ...]:
+    def _prefix_parikh(self, n: int) -> tuple[int, ...]:
         inner = self._inner.prefix_parikh((n + 1) // 2)
         return tuple(inner) + (n // 2,)
 

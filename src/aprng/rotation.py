@@ -286,7 +286,7 @@ class RotationStream(WordStream):
                 out[off + j] = rotation_letter(self.coding, pos + j)
         return out
 
-    def prefix_parikh(self, n: int) -> tuple[int, ...]:
+    def _prefix_parikh(self, n: int) -> tuple[int, ...]:
         """Exact letter counts of the first n letters: the letter steps of
         _edge telescope."""
         ones = _edge(self.coding, n) - _edge(self.coding, 0)

@@ -159,6 +159,9 @@ def gap_test(source, interval: tuple[float, float], n: int) -> StatsReport:
     hi_i = round(hi * 2 ** 32)
     if lo_i >= hi_i:
         raise ParameterError("interval is empty at 32-bit resolution")
+    if hi_i - lo_i == 1 << 32:
+        raise ParameterError(
+            "interval covers every 32-bit value, so every gap has length 0")
     p = (hi_i - lo_i) / 2.0 ** 32
 
     hist = np.zeros(_GAP_CAP + 1, dtype=np.int64)

@@ -64,9 +64,15 @@ class WordStream(ABC):
         """Materialize the first n letters without disturbing this cursor."""
         return PrefixBuffer(self.fork().take(n), self._d, source=repr(self))
 
-    @abstractmethod
     def prefix_parikh(self, n: int) -> tuple[int, ...]:
         """Exact Parikh vector of the first n letters."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        return self._prefix_parikh(n)
+
+    @abstractmethod
+    def _prefix_parikh(self, n: int) -> tuple[int, ...]:
+        """Parikh vector of the first n >= 0 letters."""
 
 
 class CycleStream(WordStream):
@@ -90,7 +96,7 @@ class CycleStream(WordStream):
     def fork(self) -> "CycleStream":
         return CycleStream(self.pattern, self._d)
 
-    def prefix_parikh(self, n: int) -> tuple[int, ...]:
+    def _prefix_parikh(self, n: int) -> tuple[int, ...]:
         L = self._pat.size
         full, rem = divmod(n, L)
         counts = np.bincount(self._pat, minlength=self._d).astype(object) * full

@@ -2,7 +2,7 @@
 
 Letters are integers 0..d-1 with d <= 16.  Finite words travel as ``bytes``
 (one letter per byte); large materialized prefixes live in a PrefixBuffer,
-which wraps a numpy uint8 array and answers Parikh-of-prefix queries.
+a validated read-only copy of the letters as a numpy uint8 array.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import numpy as np
 from .errors import AlphabetError, InsufficientPrefixError
 
 MAX_ALPHABET = 16
-_STRIDE = 1024          # letters between a PrefixBuffer's Parikh checkpoints
 
 _BYTES = bytes(range(256))
 _DIGITS = bytes.maketrans(_BYTES[:10], b"0123456789")
@@ -77,11 +76,8 @@ def parikh(w, alphabet_size: int) -> tuple[int, ...]:
 
 
 class PrefixBuffer:
-    """Immutable materialized prefix of an infinite word.
-
-    Keeps a cumulative Parikh checkpoint every _STRIDE letters so a
-    Parikh-of-prefix query costs one rescan of at most _STRIDE letters.
-    """
+    """Immutable materialized prefix of an infinite word: a read-only copy
+    of the letters, so later writes to the caller's array cannot reach it."""
 
     def __init__(self, letters, alphabet_size: int, source: str = ""):
         arr = _letters_of(letters)
@@ -90,22 +86,11 @@ class PrefixBuffer:
                 f"letter {int(arr.max())} outside alphabet of size {alphabet_size}")
         if not 1 <= alphabet_size <= MAX_ALPHABET:
             raise AlphabetError(f"alphabet size {alphabet_size} not in 1..{MAX_ALPHABET}")
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
+        arr = np.array(arr, dtype=np.uint8)
         arr.setflags(write=False)
         self.letters = arr
         self.alphabet_size = alphabet_size
         self.source = source
-        self._checkpoints = self._build_checkpoints()
-
-    def _build_checkpoints(self) -> np.ndarray:
-        n, s, d = self.letters.size, _STRIDE, self.alphabet_size
-        nblocks = n // s
-        table = np.zeros((d, nblocks + 1), dtype=np.int64)
-        if nblocks:
-            trunc = self.letters[:nblocks * s].reshape(nblocks, s)
-            for a in range(d):
-                np.cumsum((trunc == a).sum(axis=1), out=table[a, 1:])
-        return table
 
     def __len__(self) -> int:
         return int(self.letters.size)
@@ -114,12 +99,7 @@ class PrefixBuffer:
         """Parikh vector of the first n letters."""
         if not 0 <= n <= len(self):
             raise InsufficientPrefixError(f"prefix length {n} outside 0..{len(self)}")
-        block = n // _STRIDE
-        base = self._checkpoints[:, block].copy()
-        tail = self.letters[block * _STRIDE:n]
-        if tail.size:
-            base += np.bincount(tail, minlength=self.alphabet_size)
-        return tuple(int(c) for c in base)
+        return parikh(self.letters[:n], self.alphabet_size)
 
     def __repr__(self) -> str:
         src = f" source={self.source!r}" if self.source else ""

@@ -44,4 +44,4 @@ def test_only_the_cli_opens_files():
 def test_word_stream_protocol_is_pinned():
     # a stream is a position: seek moves it, and no repositioning hook exists
     assert aprng.WordStream.__abstractmethods__ == {
-        "_produce", "fork", "prefix_parikh"}
+        "_produce", "fork", "_prefix_parikh"}

@@ -174,14 +174,14 @@ def closure_chain(pattern: bytes, min_len: int) -> list[bytes]:
     return words
 
 
-@pytest.mark.parametrize("pattern", ["01", "012"])
+@pytest.mark.parametrize("pattern", ["01", "012", "0112"])
 @pytest.mark.parametrize("cap", [5000, 1 << 22])
 def test_far_access_around_the_materialized_head(pattern, cap, monkeypatch):
     from aprng.rotation import fibonacci_rotation, rotation_letter
     pattern = as_word(pattern)
     words = closure_chain(pattern, max(cap + 1, 1 << 20))
     oracle = words[-1]
-    d = len(pattern)
+    d = len(set(pattern))
     buf_len = max(len(w) for w in words if len(w) <= cap)
     positions = {buf_len + e for e in (-1, 0, 1)}
     positions.update(k * 1024 + e for k in (1, 2, 3, 4, 1024) for e in (-1, 0, 1))

@@ -294,13 +294,25 @@ def test_closed_pipe_ends_quietly(argv, read):
     # that leaves at once finds a short output still buffered, and the flush
     # must raise inside main, not at interpreter exit
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    p = subprocess.Popen([sys.executable, "-m", "aprng.cli", *argv],
-                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                         env=env)
-    assert len(p.stdout.read(read)) == read
-    p.stdout.close()
-    err = p.stderr.read()
-    assert p.wait(timeout=60) == 0 and err == b""
+    with subprocess.Popen([sys.executable, "-m", "aprng.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as p:
+        assert len(p.stdout.read(read)) == read
+        p.stdout.close()
+        err = p.stderr.read()
+        assert p.wait(timeout=60) == 0 and err == b""
+
+
+@pytest.mark.parametrize("interval", ["0,1", "0,0.9999999999"])
+def test_gap_interval_covering_every_value_exits_2(interval):
+    # every value is a hit, so the tail cell expects no gaps: the statistic
+    # would be NaN, on which the p-value's continued fraction never ends
+    out = subprocess.run(
+        [sys.executable, "-m", "aprng.cli", "stats", "randu", "--test", "gap",
+         "--interval", interval, "--n", "1e5"],
+        capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and "every 32-bit value" in out.stderr
 
 
 def test_modulus_above_2_64_is_rejected(capsys, tmp_path):

@@ -374,6 +374,13 @@ def make_skip_word(text):
     return build_word(text)
 
 
+@pytest.mark.parametrize("text", SKIP_WORDS + ["ar:cycle:01",
+                                  "ar:morphic:0->01,1->02,2->0:0"])
+def test_prefix_parikh_rejects_negative_lengths(text):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        make_skip_word(text).prefix_parikh(-1)
+
+
 @pytest.fixture(scope="module")
 def skip_prefixes():
     return {}

@@ -61,6 +61,19 @@ def test_prefix_buffer_parikh_checkpoints():
         buf.parikh_of_prefix(10001)
 
 
+def test_prefix_buffer_copies_the_letters():
+    a = np.zeros(8, dtype=np.uint8)
+    buf = PrefixBuffer(a, 2)
+    a[0] = 1                                # the caller's array stays writable
+    assert buf.parikh_of_prefix(8) == (8, 0)
+    b = np.zeros(8192, dtype=np.uint8)
+    buf = PrefixBuffer(b[:], 2)
+    b[:] = 1
+    for n in (4096, 4100, 8192):
+        assert buf.parikh_of_prefix(n) == (n, 0)
+    assert not buf.letters.any() and not buf.letters.flags.writeable
+
+
 def test_prefix_buffer_validates_letters():
     with pytest.raises(AlphabetError):
         PrefixBuffer(bytes([0, 3]), 3)
