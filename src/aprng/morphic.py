@@ -30,27 +30,29 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import AlphabetError
+from .errors import AlphabetError, ParameterError
 from .streams import WordStream
-from .words import MAX_ALPHABET, as_word, word_to_text
+from .words import _alphabet_size, as_word, word_to_text
 
 DEFAULT_BLOCK_CAP = 4096
+
+# Largest number of expansion levels random access builds.  A fixed point
+# whose images grow exponentially needs O(log position) of them, but one
+# that grows polynomially needs many more: psi = phi^4095 of 0->01,1->1
+# adds 4095 letters per level, so position 1e9 lies 244,200 levels down.
+_MAX_LEVELS = 1 << 18
 
 
 class Morphism:
     """Letter-to-word substitution over 0..d-1, d inferred from the rule count."""
 
     def __init__(self, images):
-        imgs = tuple(as_word(im) for im in images)
-        d = len(imgs)
-        if not 1 <= d <= MAX_ALPHABET:
-            raise AlphabetError(f"alphabet size {d} not in 1..{MAX_ALPHABET}")
+        images = tuple(images)
+        d = _alphabet_size(len(images))
+        imgs = tuple(as_word(im, d) for im in images)
         for a, im in enumerate(imgs):
             if not im:
                 raise ValueError(f"empty image for letter {a}: morphism must be nonerasing")
-            if max(im) >= d:
-                raise AlphabetError(
-                    f"image of {a} uses letter {max(im)} outside alphabet of size {d}")
         self.images = imgs
         self.alphabet_size = d
 
@@ -235,11 +237,15 @@ class _Expansion:
         down to level 1, and leaf is the [block view, offset] cursor at pos.
         When ``counts`` is given, the Parikh vector of the first pos letters
         is added to it.  Each level costs one bisect over at most block_cap
-        table entries plus d^2 adds.
+        table entries plus d^2 adds; past _MAX_LEVELS levels it raises
+        ParameterError.
         """
         level = 1
         while self.level(level + 1)[0][self.seed] <= pos:
             level += 1
+            if level >= _MAX_LEVELS:
+                raise ParameterError(f"position {pos} lies more than {_MAX_LEVELS} "
+                                     "levels deep in a slowly growing fixed point")
         frames = []
         c = self.seed
         while True:
@@ -372,12 +378,10 @@ class MergedStream(WordStream):
     """
 
     def __init__(self, inner: WordStream, mapping):
-        table = tuple(int(x) for x in mapping)
+        table = tuple(as_word(mapping))
         if len(table) != inner.alphabet_size:
             raise AlphabetError(
                 f"mapping covers {len(table)} letters, stream has {inner.alphabet_size}")
-        if min(table) < 0:
-            raise AlphabetError("mapped letters must be >= 0")
         d_out = max(table) + 1
         if set(table) != set(range(d_out)):
             raise AlphabetError(f"mapping is not surjective onto 0..{d_out - 1}")

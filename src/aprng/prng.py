@@ -298,6 +298,8 @@ class ShuffledPrng:
     def warm_up(self, n: int = 10 ** 9) -> None:
         """Skip n outputs in O(log n): each source warms up by the number of
         times its steering letter occurs in the skipped stretch."""
+        if n < 0:
+            raise ParameterError("n must be >= 0")
         pos = self.steering.position
         before = self.steering.prefix_parikh(pos)
         after = self.steering.prefix_parikh(pos + n)

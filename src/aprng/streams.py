@@ -13,15 +13,12 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import AlphabetError
-from .words import MAX_ALPHABET, PrefixBuffer, as_word
+from .words import PrefixBuffer, _alphabet_size, as_word
 
 
 class WordStream(ABC):
     def __init__(self, alphabet_size: int):
-        if not 1 <= alphabet_size <= MAX_ALPHABET:
-            raise AlphabetError(f"alphabet size {alphabet_size} not in 1..{MAX_ALPHABET}")
-        self._d = alphabet_size
+        self._d = _alphabet_size(alphabet_size)
         self._pos = 0
 
     @property

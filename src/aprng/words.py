@@ -1,8 +1,10 @@
 """Finite-word primitives: letter normalization, text rendering, Parikh vectors.
 
-Letters are integers 0..d-1 with d <= 16.  Finite words travel as ``bytes``
-(one letter per byte); large materialized prefixes live in a PrefixBuffer,
-a validated read-only copy of the letters as a numpy uint8 array.
+Letters are integers 0..d-1 with 1 <= d <= 16.  Every letter enters the
+package through one check, ``_letters``, which tests the range before any
+cast; alphabet sizes go through ``_alphabet_size``.  Finite words travel as
+``bytes`` (one letter per byte); large materialized prefixes live in a
+PrefixBuffer, a read-only copy of the letters as a numpy uint8 array.
 """
 from __future__ import annotations
 
@@ -15,64 +17,62 @@ from .errors import AlphabetError, InsufficientPrefixError
 MAX_ALPHABET = 16
 
 _BYTES = bytes(range(256))
-_DIGITS = bytes.maketrans(_BYTES[:10], b"0123456789")
+_FROM_DIGITS = bytes.maketrans(b"0123456789", _BYTES[:10])
+
+
+def _alphabet_size(d: int) -> int:
+    if not 1 <= d <= MAX_ALPHABET:
+        raise AlphabetError(f"alphabet size {d} not in 1..{MAX_ALPHABET}")
+    return d
+
+
+def _letters(w, alphabet_size: int | None = None) -> np.ndarray:
+    """``w`` as a 1-D uint8 array of letters below ``alphabet_size``
+    (MAX_ALPHABET when None).  The range is checked before the cast, so no
+    value wraps into another letter; a uint8 array comes back as a view."""
+    cap = MAX_ALPHABET if alphabet_size is None else _alphabet_size(alphabet_size)
+    if isinstance(w, np.ndarray):
+        if w.ndim != 1 or (w.size and w.dtype.kind not in "iu"):
+            raise AlphabetError(f"letters must be a 1-D integer array, got {w.ndim}-D {w.dtype}")
+        lo, hi = (w.min(), w.max()) if w.size else (0, 0)
+        if lo < 0 or hi >= cap:
+            raise AlphabetError(f"letter {lo if lo < 0 else hi} outside alphabet of size {cap}")
+        return w.astype(np.uint8, copy=False)
+    if isinstance(w, str):
+        if w and not (w.isascii() and w.isdigit()):     # isdigit() takes other scripts
+            raise AlphabetError(f"non-digit letter in word string {w!r}")
+        w = w.encode().translate(_FROM_DIGITS)
+    elif not isinstance(w, (bytes, bytearray)):
+        if not isinstance(w, Iterable):
+            raise TypeError(f"cannot interpret {type(w).__name__} as a word")
+        try:
+            w = bytes(w)
+        except (TypeError, ValueError) as e:
+            raise AlphabetError(f"letters must be ints in 0..{cap - 1}: {e}") from None
+    if w.translate(None, _BYTES[:cap]):                 # a byte >= cap is left
+        raise AlphabetError(f"letter {max(w)} outside alphabet of size {cap}")
+    return np.frombuffer(w, np.uint8)
 
 
 def as_word(w, alphabet_size: int | None = None) -> bytes:
     """Normalize ``w`` to bytes of letters.
 
-    Accepts bytes/bytearray, a string of ASCII digits, a numpy uint8 array,
-    or any iterable of ints.  Letters are validated against ``alphabet_size``
-    when given, and against MAX_ALPHABET always.
+    Accepts bytes/bytearray, a string of ASCII digits, a 1-D numpy integer
+    array, or any iterable of ints.  Letters are validated against
+    ``alphabet_size`` when given, and against MAX_ALPHABET otherwise.
     """
-    if isinstance(w, bytes):
-        out = w
-    elif isinstance(w, (bytearray, memoryview)):
-        out = bytes(w)
-    elif isinstance(w, str):
-        try:
-            if not w.isascii():     # int() also reads other scripts' digits
-                raise ValueError(w)
-            out = bytes(int(ch) for ch in w)
-        except ValueError:
-            raise AlphabetError(f"non-digit letter in word string {w!r}") from None
-    elif isinstance(w, np.ndarray):
-        out = w.astype(np.uint8, copy=False).tobytes()
-    elif isinstance(w, Iterable):
-        out = bytes(w)
-    else:
-        raise TypeError(f"cannot interpret {type(w).__name__} as a word")
-    cap = MAX_ALPHABET if alphabet_size is None else alphabet_size
-    if out.translate(None, _BYTES[:max(cap, 0)]):      # a byte >= cap is left
-        raise AlphabetError(f"letter {max(out)} outside alphabet of size {cap}")
-    return out
+    return _letters(w, alphabet_size).tobytes()
 
 
 def word_to_text(w) -> str:
     """Render a word as ASCII digits (alphabet size <= 10 only)."""
-    return as_word(w, 10).translate(_DIGITS).decode("ascii")
-
-
-def _letters_of(p) -> np.ndarray:
-    if isinstance(p, PrefixBuffer):
-        return p.letters
-    if isinstance(p, np.ndarray):
-        return p.astype(np.uint8, copy=False)
-    return np.frombuffer(as_word(p), dtype=np.uint8)
+    return (_letters(w, 10) + ord("0")).tobytes().decode("ascii")
 
 
 def parikh(w, alphabet_size: int) -> tuple[int, ...]:
     """Occurrence count of every letter 0..d-1 in ``w``."""
-    if not 1 <= alphabet_size <= MAX_ALPHABET:
-        raise AlphabetError(f"alphabet size {alphabet_size} not in 1..{MAX_ALPHABET}")
-    arr = _letters_of(w)
-    if arr.size == 0:
-        return (0,) * alphabet_size
-    counts = np.bincount(arr, minlength=alphabet_size)
-    if len(counts) > alphabet_size:
-        bad = int(np.max(arr))
-        raise AlphabetError(f"letter {bad} outside alphabet of size {alphabet_size}")
-    return tuple(int(c) for c in counts)
+    counts = np.bincount(_letters(w, alphabet_size), minlength=alphabet_size)
+    return tuple(counts.tolist())
 
 
 class PrefixBuffer:
@@ -80,13 +80,7 @@ class PrefixBuffer:
     of the letters, so later writes to the caller's array cannot reach it."""
 
     def __init__(self, letters, alphabet_size: int, source: str = ""):
-        arr = _letters_of(letters)
-        if arr.size and int(arr.max()) >= alphabet_size:
-            raise AlphabetError(
-                f"letter {int(arr.max())} outside alphabet of size {alphabet_size}")
-        if not 1 <= alphabet_size <= MAX_ALPHABET:
-            raise AlphabetError(f"alphabet size {alphabet_size} not in 1..{MAX_ALPHABET}")
-        arr = np.array(arr, dtype=np.uint8)
+        arr = np.array(_letters(letters, alphabet_size))
         arr.setflags(write=False)
         self.letters = arr
         self.alphabet_size = alphabet_size

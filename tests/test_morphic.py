@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aprng import morphic
 from aprng.errors import AlphabetError, ParameterError
 from aprng.morphic import (FIBONACCI, THUE_MORSE, TRIBONACCI, FixedPointStream,
                            InterleavedStream, MergedStream, Morphism,
@@ -140,6 +141,22 @@ def test_letter_at_matches_sequential():
     # interleaved random access and sequential reads stay coherent
     fresh.seek(10)
     assert bytes(fresh.take(10)) == ref[10:20]
+
+
+def test_random_access_refuses_positions_past_the_level_bound(monkeypatch):
+    monkeypatch.setattr(morphic, "_MAX_LEVELS", 8)
+    s = FixedPointStream(Morphism(["01", "1"]), 0)      # 0 1 1 1 ...
+    refused = 1 + s.power * 8   # |psi^8(0)|: the first position 8 levels down
+    assert s.letter_at(refused - 1) == 1
+    assert s.prefix_parikh(refused - 1) == (1, refused - 2)
+    for far in (refused, 10 ** 9):
+        with pytest.raises(ParameterError, match=f"position {far} "):
+            s.fork().letter_at(far)
+        with pytest.raises(ParameterError, match=f"position {far} "):
+            s.prefix_parikh(far)
+    # sequential reading builds no level tables, so it is not refused
+    fresh = FixedPointStream(Morphism(["01", "1"]), 0)
+    assert bytes(fresh.take(refused + 5000)) == b"\0" + b"\1" * (refused + 4999)
 
 
 def test_prefix_parikh_exact():

@@ -345,6 +345,15 @@ def test_shuffle_validation():
         z.outputs(-1)
 
 
+def test_shuffle_warm_up_rejects_negative_counts():
+    fresh, used = _shuffle_pair(), _shuffle_pair()
+    used.outputs(100)
+    for z in (fresh, used):
+        with pytest.raises(ParameterError, match="n must be >= 0"):
+            z.warm_up(-5)
+    assert used.steering.position == 100 and used.counters == [62, 38]
+
+
 def test_stream_export_le32_bytes():
     buf = io.BytesIO()
     written = stream_export(named_lcg("randu"), 4, buf)
