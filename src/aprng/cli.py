@@ -11,22 +11,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
-import numpy as np
-
 from .errors import SpecParseError
-from .lattice import consecutive_tuples, plane_count, search_normals
-from .prng import stream_export
 from .specs import build_word, parse_gen_spec, parse_number
-from .stats import (LowBitsSource, ScaledSource, chi_square_equidist,
-                    gap_test, serial_pairs)
-from .welldoc import welldoc_scan
 from .words import word_to_text
 
+# Each command imports the modules only it needs, so a process that streams
+# a word compiles no analysis module.
+
 _TEXT_CHUNK = 1 << 20
+_PIPE_BYTES = 1 << 20     # stdout pipe size the bulk writers ask for
 _REPORT_CAP = 10          # search results included in lattice JSON
 DEFAULT_WARMUP = 10 ** 9
 
@@ -62,9 +58,22 @@ def _normal(text: str) -> tuple[int, ...]:
             f"expected comma separated integers like 9,-6,1, got {text!r}") from None
 
 
+def _widen_stdout_pipe() -> None:
+    """Set a stdout pipe to _PIPE_BYTES, so that a bulk writer and its
+    reader trade larger pieces per wake-up.  Where that fails (stdout is no
+    pipe, the platform has no such call, the per-user pipe quota is spent)
+    the pipe stays as it is."""
+    try:
+        import fcntl
+        fcntl.fcntl(sys.stdout.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (ImportError, AttributeError, OSError, ValueError):
+        pass
+
+
 def _output(path: str):
     """Binary output target: stdout for '-', which stays open, else a file."""
     if path == "-":
+        _widen_stdout_pipe()
         return contextlib.nullcontext(sys.stdout.buffer)
     return open(path, "wb")
 
@@ -92,6 +101,7 @@ def _cmd_word(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .prng import stream_export
     gen = _make_gen(args)
     with _output(args.out) as f:
         stream_export(gen, args.count, f)
@@ -104,6 +114,8 @@ def _cmd_shuffle(args) -> int:
 
 
 def _cmd_welldoc(args) -> int:
+    import json
+    from .welldoc import welldoc_scan
     stream = build_word(args.spec)
     reports = welldoc_scan(stream, args.m, args.factor_len,
                            max_prefix=args.prefix)
@@ -123,6 +135,9 @@ def _cmd_welldoc(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    import json
+    import numpy as np
+    from .lattice import consecutive_tuples, plane_count, search_normals
     gen = _make_gen(args)
     scale = gen.out_range if args.scale is None else args.scale
     tuples = consecutive_tuples(gen, args.sample, args.t)
@@ -156,6 +171,9 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    import json
+    from .stats import (LowBitsSource, ScaledSource, chi_square_equidist,
+                        gap_test, serial_pairs)
     gen = _make_gen(args)
     if args.lowbits:
         gen = LowBitsSource(gen, args.lowbits)

@@ -187,6 +187,8 @@ class _Expansion:
         d = phi.alphabet_size
         self.power, self.blocks = _choose_power(phi, block_cap)
         self.views = [np.frombuffer(b, dtype=np.uint8) for b in self.blocks]
+        # psi(c) = c: then psi^L(c) = c at every level L
+        self.fixed = [b == bytes([c]) for c, b in enumerate(self.blocks)]
         self.seed = seed
         self.counts = []
         for w in self.blocks:
@@ -297,6 +299,7 @@ class FixedPointStream(WordStream):
         self._x = _expansion(morphism, seed, block_cap)
         self.power = self._x.power
         self._blocks, self._views = self._x.blocks, self._x.views
+        self._fixed = self._x.fixed
         self.max_stack_depth = 0
         self._stack, self._leaf = self._x.descend(0)
         self._at = 0        # the position the leaf cursor stands for
@@ -306,7 +309,10 @@ class FixedPointStream(WordStream):
     # A frame [word, idx, level] stands for the unemitted remainder of
     # psi^level(word): each letter word[idx:] still expands through `level`
     # applications of psi.  Frames with level 1 hand their letters' blocks
-    # straight to the leaf cursor.  The bottom frame is the root psi(seed).
+    # straight to the leaf cursor, and so does a letter c with psi(c) = c at
+    # any level: without that, a polynomially growing fixed point such as
+    # 0->01,1->1, made mostly of such letters, would cost one frame per level
+    # per letter.  The bottom frame is the root psi(seed).
 
     def _advance_leaf(self) -> None:
         """Refill the leaf cursor from the stack.  The root is never popped:
@@ -324,7 +330,7 @@ class FixedPointStream(WordStream):
                 continue
             frame[1] = idx + 1
             c = word[idx]
-            if level == 1:
+            if level == 1 or self._fixed[c]:
                 self._leaf = [self._views[c], 0]
                 return
             stack.append([self._blocks[c], 0, level - 1])

@@ -36,11 +36,11 @@ from dataclasses import dataclass, field
 from .errors import SpecParseError
 from .morphic import (FIBONACCI, TRIBONACCI, FixedPointStream,
                       InterleavedStream, MergedStream, Morphism)
-from .arnoux_rauzy import ArnouxRauzyStream
-from .prng import NAMED_LCGS, Lcg, ShuffledPrng
-from .rotation import QuadraticIrrational, RotationCoding, RotationStream
 from .streams import CycleStream, WordStream
 from .words import word_to_text
+
+# The rotation, arnoux_rauzy and prng modules load only when a descriptor of
+# their kind is parsed or built, so a command pays for no other kind.
 
 __all__ = [
     "WordSpec", "MorphicSpec", "ArCycleSpec", "ArMorphicSpec",
@@ -125,6 +125,7 @@ _QI_RATIONAL = re.compile(r"\((-?\d+)\)/(\d+)\Z")
 
 
 def parse_quadratic(text: str) -> QuadraticIrrational:
+    from .rotation import QuadraticIrrational
     s = _ascii(text).strip()
     if m := _QI_FULL.match(s):
         p, q, D, r = map(int, m.groups())
@@ -219,6 +220,7 @@ class ArCycleSpec(WordSpec):
         return f"ar:cycle:{word_to_text(self.pattern)}"
 
     def build(self) -> WordStream:
+        from .arnoux_rauzy import ArnouxRauzyStream
         return ArnouxRauzyStream(CycleStream(self.pattern))
 
 
@@ -231,6 +233,7 @@ class ArMorphicSpec(WordSpec):
         return f"ar:morphic:{self.morphism.to_text()}:{self.seed}"
 
     def build(self) -> WordStream:
+        from .arnoux_rauzy import ArnouxRauzyStream
         return ArnouxRauzyStream(FixedPointStream(self.morphism, self.seed))
 
 
@@ -245,6 +248,7 @@ class RotationSpec(WordSpec):
         return base if self.convention == "left" else f"{base}:{self.convention}"
 
     def build(self) -> WordStream:
+        from .rotation import RotationCoding, RotationStream
         return RotationStream(RotationCoding(self.alpha, self.rho,
                                              self.convention))
 
@@ -297,6 +301,7 @@ class LcgSpec(GenSpec):
         return base if self.seed == 1 else f"{base},seed={format_number(self.seed)}"
 
     def build(self, seed=None) -> Lcg:
+        from .prng import Lcg
         return Lcg(self.m, self.a, self.c,
                    self.seed if seed is None else seed)
 
@@ -314,6 +319,7 @@ class ShuffleSpec(GenSpec):
         return f"shuffle:{self.word.format()}:" + ",".join(parts)
 
     def build(self, seed=None) -> ShuffledPrng:
+        from .prng import ShuffledPrng
         return ShuffledPrng(self.word.build(),
                             [g.build(seed) for g in self.gens])
 
@@ -441,6 +447,7 @@ def _parse_word(cur: _Cursor, depth: int = 1) -> WordSpec:
 
 
 def _parse_gen(cur: _Cursor, depth: int = 1) -> GenSpec:
+    from .prng import NAMED_LCGS
     if depth > _MAX_NESTING:
         cur.error(f"words and generators nest deeper than {_MAX_NESTING}")
     groups = 0

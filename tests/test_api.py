@@ -1,3 +1,4 @@
+import importlib
 import pathlib
 import types
 
@@ -25,12 +26,25 @@ PUBLIC_NAMES = [
 ]
 
 
+# The library submodules; a name's home is the one that defines it.
+SUBMODULES = ["errors", "words", "streams", "morphic", "arnoux_rauzy",
+              "rotation", "welldoc", "prng", "lattice", "stats", "specs"]
+
+
 def test_public_api_is_pinned():
-    names = sorted(name for name, value in vars(aprng).items()
-                   if not name.startswith("_")
-                   and not isinstance(value, types.ModuleType))
+    # names load on first use, so they are listed by dir(), not vars()
+    names = sorted(name for name in dir(aprng) if not name.startswith("_")
+                   and not isinstance(getattr(aprng, name), types.ModuleType))
     assert names == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 63
+    # each name is the very object of every submodule that holds it
+    modules = [importlib.import_module(f"aprng.{m}") for m in SUBMODULES]
+    for name in PUBLIC_NAMES:
+        held = [vars(m)[name] for m in modules if name in vars(m)]
+        assert held and all(v is getattr(aprng, name) for v in held), name
+    star: dict = {}
+    exec("from aprng import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == PUBLIC_NAMES
 
 
 def test_only_the_cli_opens_files():

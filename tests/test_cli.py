@@ -346,6 +346,75 @@ def test_import_does_not_load_scipy():
     assert out.stderr == "False"
 
 
+def test_import_alone_loads_no_numpy():
+    code = "import sys, aprng; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
+def loaded_by(*argv) -> set[str]:
+    """aprng modules a process loads to run one command."""
+    code = ("import sys\n"
+            "from aprng.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "sys.stdout.flush()\n"
+            "sys.stderr.write(' '.join(m for m in sys.modules\n"
+            "                          if m.startswith('aprng.')))\n")
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return set(out.stderr.decode().split())
+
+
+def test_streaming_commands_load_only_their_modules():
+    unused = {"aprng.welldoc", "aprng.lattice", "aprng.stats",
+              "aprng.rotation", "aprng.arnoux_rauzy"}
+    gen = loaded_by("gen", "l64_28", "--count", "1")
+    assert "aprng.prng" in gen and not gen & unused
+    assert not loaded_by("word", "fib", "--count", "5") & (unused | {"aprng.prng"})
+
+
+def test_stdout_pipe_is_widened_to_1_mib():
+    fcntl = pytest.importorskip("fcntl")
+    r, w = os.pipe()
+    try:
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
+    except (AttributeError, OSError):
+        pytest.skip("this process cannot set a 1 MiB pipe")
+    finally:
+        os.close(r)
+        os.close(w)
+    with subprocess.Popen(
+            [sys.executable, "-m", "aprng.cli", "gen", "l64_28", "--count", "1"],
+            stdout=subprocess.PIPE) as p:
+        out = p.stdout.read()
+        size = fcntl.fcntl(p.stdout.fileno(), fcntl.F_GETPIPE_SZ)
+    assert p.returncode == 0 and len(out) == 4
+    assert size == 1 << 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["word", "fib", "--count", "3000"],
+    ["word", "trib", "--raw", "--count", "3000"],
+    ["gen", "l64_28", "--count", "1000"],
+], ids=["word", "word_raw", "gen"])
+def test_output_is_the_same_on_every_sink(argv, tmp_path):
+    cli = [sys.executable, "-m", "aprng.cli", *argv]
+    piped = subprocess.run(cli, capture_output=True, timeout=60)
+    assert piped.returncode == 0 and piped.stderr == b""
+    out = tmp_path / "out"
+    assert subprocess.run([*cli, "--out", str(out)], timeout=60).returncode == 0
+    assert out.read_bytes() == piped.stdout
+    redirected = tmp_path / "redirected"
+    with open(redirected, "wb") as f:
+        assert subprocess.run(cli, stdout=f, timeout=60).returncode == 0
+    assert redirected.read_bytes() == piped.stdout
+    assert subprocess.run(cli, stdout=subprocess.DEVNULL,
+                          timeout=60).returncode == 0
+
+
 def test_lattice_rejects_bad_parameters(capsys, tmp_path):
     # sample values up to 2^31 do not live in the cube of scale 1000
     dump = tmp_path / "pts.csv"

@@ -230,6 +230,26 @@ def test_stack_depth_tracked():
     assert s.max_stack_depth >= 1
 
 
+def test_letter_fixed_by_psi_pushes_no_frame():
+    # 0 1^n: every 1 after the first block lies ever deeper in the tree, yet
+    # psi(1) = 1 hands it to the leaf from whatever level it stands on
+    s = FixedPointStream(Morphism(["01", "1"]), 0)
+    assert bytes(s.take(100000)) == b"\0" + b"\1" * 99999
+    assert s.max_stack_depth == 0
+
+
+@pytest.mark.parametrize("rules", [["01", "1"], ["012", "12", "2"],
+                                   ["01", "21", "2"]])
+@pytest.mark.parametrize("block_cap", [16, 64])
+def test_polynomial_growth_matches_iteration(rules, block_cap):
+    phi = Morphism(rules)
+    want = iterate_fixed_point(phi, 0, 1500)[:1500]
+    s = FixedPointStream(phi, 0, block_cap)
+    assert b"".join(bytes(s.take(k)) for k in (1, 7, 40, 400, 1052)) == want
+    s.seek(321)
+    assert bytes(s.take(1000)) == want[321:1321]
+
+
 # -- random access far out: the descent tables against independent oracles --
 
 NONUNIFORM = Morphism(["01", "20", "1"])
