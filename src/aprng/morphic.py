@@ -13,13 +13,15 @@ of one expansion tree.  Its root psi^(L+1)(a) = psi^L(psi(a)) is the word
 psi(a) whose letters each expand through L applications of psi; by the
 identity above, once the walk has emitted all of it, u goes on with the same
 root one level up, from index 1.  The walk keeps one stack frame per
-expansion level, so memory is O(log position) while letters leave in whole
-precomputed blocks.  Random access and prefix Parikh vectors descend the same
-tree.  Per level they cost one bisect over a cumulative table of exact image
-lengths, which has at most block_cap entries, plus d^2 adds that turn the
-block's prefix letter counts into the Parikh vector of the skipped subtrees.
-The tables are built lazily and shared by every stream of the same fixed
-point.
+expansion level, so memory is O(log position).  A level-1 frame psi(psi(c))
+is a run of precomputed blocks psi(b); one bisect over its cumulative length
+table finds how many whole blocks fit in a request, and they leave in one
+copy, the rest of the frame at once when the request is long.  Random
+access and prefix Parikh vectors descend the same tree.  Per level they cost
+one bisect over a cumulative table of exact image lengths, which has at most
+block_cap entries, plus d^2 adds that turn the block's prefix letter counts
+into the Parikh vector of the skipped subtrees.  The tables are built lazily
+and shared by every stream of the same fixed point.
 """
 from __future__ import annotations
 
@@ -41,6 +43,10 @@ DEFAULT_BLOCK_CAP = 4096
 # that grows polynomially needs many more: psi = phi^4095 of 0->01,1->1
 # adds 4095 letters per level, so position 1e9 lies 244,200 levels down.
 _MAX_LEVELS = 1 << 18
+
+# Fewest whole blocks of a level-1 frame that _produce copies in one call;
+# shorter runs go through the leaf cursor one block at a time.
+_BULK_BLOCKS = 3
 
 
 class Morphism:
@@ -300,6 +306,8 @@ class FixedPointStream(WordStream):
         self.power = self._x.power
         self._blocks, self._views = self._x.blocks, self._x.views
         self._fixed = self._x.fixed
+        # whether a level-1 frame can hold _BULK_BLOCKS blocks at all
+        self._bulk = max(map(len, self._blocks)) >= _BULK_BLOCKS
         self.max_stack_depth = 0
         self._stack, self._leaf = self._x.descend(0)
         self._at = 0        # the position the leaf cursor stands for
@@ -337,6 +345,32 @@ class FixedPointStream(WordStream):
             if len(stack) > self.max_stack_depth:
                 self.max_stack_depth = len(stack)
 
+    def _copy_blocks(self, frame, out: np.ndarray, filled: int) -> int:
+        """Copy, in one call, the whole blocks psi(word[idx:j]) of the
+        level-1 frame that fit in out[filled:], and move the frame to j;
+        fewer than _BULK_BLOCKS of them are left to the leaf cursor.
+        Returns the new fill."""
+        word, idx, _ = frame
+        # word = psi(c): c is the letter the frame below expanded last, or
+        # the seed at the root; frames do not carry it, as a fourth field
+        # slowed the one-letter-per-step baseline
+        stack = self._stack
+        if len(stack) > 1:
+            below = stack[-2]
+            c = below[0][below[1] - 1]
+        else:
+            c = self.seed
+        cum = self._x.cum(1, c)
+        base = cum[idx]
+        j = bisect_right(cum, base + out.size - filled, idx) - 1
+        if j - idx < _BULK_BLOCKS:
+            return filled
+        end = filled + cum[j] - base
+        views = self._views
+        np.concatenate([views[b] for b in word[idx:j]], out=out[filled:end])
+        frame[1] = j
+        return end
+
     def _produce(self, n: int) -> np.ndarray:
         if self._at != self._pos:
             self._stack, self._leaf = self._x.descend(self._pos)
@@ -344,10 +378,21 @@ class FixedPointStream(WordStream):
         out = np.empty(n, dtype=np.uint8)
         filled = 0
         leaf = self._leaf
+        bulk = self._bulk
         while filled < n:
             view, off = leaf
             avail = view.size - off
             if avail == 0:
+                # cheapest tests first, all before any table lookup: a
+                # refill of the one-letter-per-step baseline, whose blocks
+                # are shorter than _BULK_BLOCKS, pays only the first
+                if bulk:
+                    frame = self._stack[-1]
+                    if (len(frame[0]) - frame[1] >= _BULK_BLOCKS
+                            and frame[2] == 1):
+                        filled = self._copy_blocks(frame, out, filled)
+                        if filled == n:
+                            break
                 self._advance_leaf()
                 leaf = self._leaf
                 continue

@@ -15,14 +15,16 @@ on).  Other moduli, among them every one below 2^32, step a plain Python-int
 loop, which also serves as the oracle of both lane paths.
 
 Every array that outputs or raw_states returns is fresh and belongs to the
-caller.  Each Lcg steps its states into a scratch buffer of its own (never
-shared, not even with a fork) and each ShuffledPrng keeps a letter mask of
-its own; both are reused from call to call, so a stream does not allocate a
-new chunk-sized temporary for each step of the pipeline.
+caller; stream_export relies on that when it writes one chunk while it
+computes the next.  Each Lcg steps its states into a scratch buffer of its
+own (never shared, not even with a fork) and each ShuffledPrng keeps a
+letter mask of its own; both are reused from call to call, so a stream does
+not allocate a new chunk-sized temporary for each step of the pipeline.
 """
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -326,22 +328,53 @@ def _value_chunks(source, n: int, size: int):
         piece = source[off:off + k] if array else source.outputs(k)
         if piece.size == 0:
             raise ParameterError(f"source gave no values with {n - off} owed")
-        yield piece
         off += piece.size
+        yield piece
+        del piece       # lets the caller free it while the next one is made
 
 
 def stream_export(source, n: int, sink) -> int:
     """Write n outputs as little-endian 32-bit words to the writable binary
     file sink; returns bytes written.  Byte-identical across runs for
     identical parameters and seeds.
+
+    Each piece of _CHUNK values is written on a thread of its own while the
+    next one is computed, so a source's outputs(k) must return an array that
+    its next call does not overwrite, as every source in this package does.
+    The writer is joined before each hand-off, so at most one write is in
+    flight and no thread outlives the call; a piece is freed as soon as its
+    write ends, and an error of a write is raised here.
     """
     if n < 0:
         raise ParameterError("n must be >= 0")
+    failed = []
+
+    def write(data):
+        try:
+            sink.write(data)
+        except Exception as e:          # raised again in the caller
+            failed.append(e)
+
+    writer = None
     written = 0
-    for chunk in _value_chunks(source, n, _CHUNK):
-        # no copy of a contiguous uint32 chunk on a little-endian host
-        data = np.ascontiguousarray(chunk, dtype="<u4")
-        sink.write(data)
-        written += data.nbytes
+    try:
+        for chunk in _value_chunks(source, n, _CHUNK):
+            # no copy of a contiguous uint32 chunk on a little-endian host
+            data = np.ascontiguousarray(chunk, dtype="<u4")
+            if writer is not None:
+                writer.join()
+                if failed:
+                    break
+            writer = threading.Thread(target=write, args=(data,))
+            writer.start()
+            written += data.nbytes
+            # the writer holds the only reference, so the piece is freed
+            # when its write ends, not after the next piece is computed
+            del chunk, data
+    finally:
+        if writer is not None:
+            writer.join()
+    if failed:
+        raise failed[0]
     sink.flush()
     return written

@@ -250,6 +250,91 @@ def test_polynomial_growth_matches_iteration(rules, block_cap):
     assert bytes(s.take(1000)) == want[321:1321]
 
 
+# -- bulk emission: runs of whole level-1 blocks leave in one copy --------
+
+BULK_WORDS = {"fib": (FIBONACCI, 0), "trib": (TRIBONACCI, 0),
+              "tm": (THUE_MORSE, 0),
+              # the root frame's letter is the seed
+              "seed1": (Morphism(["1", "10"]), 1),
+              "001": (Morphism(["001", "01"]), 0),
+              "psi_fixed": (Morphism(["01", "1"]), 0),    # psi(1) = 1
+              # psi(1) = 1 leaves a frame above level 1 on top of the stack
+              "mixed": (Morphism(["012", "1", "20"]), 0)}
+BULK_LEN = 150_000
+
+
+@pytest.fixture(scope="module")
+def bulk_prefixes():
+    prefixes = {}
+    for name, (phi, seed) in BULK_WORDS.items():
+        # 0->01,1->1 grows by one letter per iteration: its word is 0 1^oo
+        n = 3000 if name == "psi_fixed" else BULK_LEN
+        prefixes[name] = iterate_fixed_point(phi, seed, n)[:n]
+    return prefixes
+
+
+def level1_frame_ends(s, u):
+    """Ends of the level-1 frames psi(psi(u_q)) that tile u = psi(psi(u)),
+    read from the stream's cumulative tables _x.cum(1, c)."""
+    ends, pos = [], 0
+    for c in u:
+        pos += s._x.cum(1, c)[-1]
+        if pos > len(u):
+            break
+        ends.append(pos)
+    return ends
+
+
+def read_across(s, u, ends):
+    """Read on from s.position in pieces that end one letter before, on, and
+    one letter after successive frame ends; every piece must match u."""
+    for i, end in enumerate(ends):
+        start, stop = s.position, min(end + i % 3 - 1, len(u))
+        if stop > start:
+            assert bytes(s.take(stop - start)) == u[start:stop], (start, stop)
+
+
+@pytest.mark.parametrize("name", sorted(BULK_WORDS))
+@pytest.mark.parametrize("cap", [16, 64, "naive"])
+def test_bulk_copy_matches_iteration_at_frame_ends(name, cap, bulk_prefixes):
+    phi, seed = BULK_WORDS[name]
+    u = bulk_prefixes[name]
+    if cap == "naive":
+        s, u = naive_stream(phi, seed), u[:30_000]
+    else:
+        s = FixedPointStream(phi, seed, block_cap=cap)
+    ends = level1_frame_ends(s, u)
+    assert len(ends) > 8
+    read_across(s, u, ends)
+    for k in (1, len(ends) // 2):
+        for delta in (-1, 0, 1):
+            s.seek(ends[k] + delta)
+            read_across(s, u, ends[k + 1:k + 8])
+    s.seek(0)
+    assert bytes(s.take(len(u))) == u
+
+
+def test_naive_stream_never_tries_the_bulk_copy(monkeypatch):
+    # its blocks are shorter than _BULK_BLOCKS, so no refill looks one up
+    def fail(*_):
+        raise AssertionError("bulk copy tried")
+    monkeypatch.setattr(FixedPointStream, "_copy_blocks", fail)
+    for phi in (FIBONACCI, TRIBONACCI, THUE_MORSE):
+        s = naive_stream(phi)
+        assert bytes(s.take(20_000)) == iterate_fixed_point(phi, 0, 20_000)[:20_000]
+
+
+def test_bulk_copy_pushes_no_frame():
+    # the copy only moves a level-1 frame's index: the peak depth is the
+    # one the block-by-block walk reached
+    s = fibonacci_stream()
+    s.take(10 ** 6)
+    assert s.max_stack_depth == 0
+    for _ in range(9):
+        s.take(10 ** 6)
+    assert s.max_stack_depth == 2
+
+
 # -- random access far out: the descent tables against independent oracles --
 
 NONUNIFORM = Morphism(["01", "20", "1"])

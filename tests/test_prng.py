@@ -1,5 +1,8 @@
 import io
 import struct
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -379,6 +382,66 @@ def test_stream_export_array_source():
         stream_export(arr, 11, io.BytesIO())
     with pytest.raises(ParameterError):
         stream_export(arr, -1, io.BytesIO())
+
+
+def test_stream_export_writes_behind_across_chunks():
+    # each piece is written while the next is computed
+    n = 3 * prng._CHUNK + 5
+    sink = io.BytesIO()
+    assert stream_export(named_lcg("l64_28"), n, sink) == 4 * n
+    assert sink.getvalue() == named_lcg("l64_28").outputs(n).astype("<u4").tobytes()
+
+
+class HandOffSource:
+    """Fresh pieces of 0, 1, 2, ...; before it makes a piece, the piece it
+    made last must have been freed, that is, written and let go."""
+    def __init__(self):
+        self.last = None
+        self.made = 0
+
+    def outputs(self, k):
+        deadline = time.monotonic() + 2
+        while self.last is not None and self.last() is not None:
+            assert time.monotonic() < deadline, "a written piece is still held"
+            time.sleep(0.001)
+        piece = np.arange(self.made, self.made + k, dtype=np.uint32)
+        self.made += k
+        self.last = weakref.ref(piece)
+        return piece
+
+
+def test_stream_export_frees_each_piece_once_written():
+    n = 3 * prng._CHUNK + 5
+    sink = io.BytesIO()
+    assert stream_export(HandOffSource(), n, sink) == 4 * n
+    assert sink.getvalue() == np.arange(n, dtype="<u4").tobytes()
+
+
+class ClosingSink:
+    """Fails as a pipe whose reader has left on write number fail_at, after
+    a pause in which the caller runs ahead."""
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            time.sleep(0.05)
+            raise BrokenPipeError("reader left")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fail_at", [2, 4], ids=["middle", "last"])
+def test_stream_export_raises_a_write_error_and_leaves_no_thread(fail_at):
+    before = threading.active_count()
+    sink = ClosingSink(fail_at)
+    with pytest.raises(BrokenPipeError, match="reader left"):
+        stream_export(named_lcg("l64_28"), 4 * prng._CHUNK, sink)
+    assert sink.writes == fail_at
+    assert threading.active_count() == before
 
 
 def _exported(source, n):
