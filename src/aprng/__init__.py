@@ -5,7 +5,7 @@ the one submodule that defines it (PEP 562), so a command that streams a
 word never compiles the analysis modules.
 """
 
-import importlib
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "errors": (
         "AlphabetError", "DirectiveError", "FieldMismatchError",
-        "InsufficientDataError", "InsufficientPrefixError", "ParameterError",
-        "SpecParseError",
+        "InsufficientDataError", "ParameterError", "SpecParseError",
     ),
     "words": ("MAX_ALPHABET", "PrefixBuffer", "as_word", "parikh",
               "word_to_text"),
@@ -28,14 +27,14 @@ _HOMES = {
                      "palindromic_closure"),
     "rotation": ("QuadraticIrrational", "RotationCoding", "RotationStream",
                  "fibonacci_rotation", "rotation_letter"),
-    "welldoc": ("PreservationCertificate", "WelldocQuery", "WelldocReport",
-                "preserves_welldoc", "welldoc_check", "welldoc_scan"),
+    "welldoc": ("WelldocQuery", "WelldocReport", "welldoc_check",
+                "welldoc_scan"),
     "prng": ("NAMED_LCGS", "Lcg", "ShuffledPrng", "named_lcg",
              "stream_export"),
     "lattice": ("LatticeReport", "candidate_normals", "consecutive_tuples",
                 "full_lattice_class_count", "plane_count", "search_normals"),
-    "stats": ("ConstantSource", "LowBitsSource", "RandomSource", "StatsReport",
-              "chi_square_equidist", "gap_test", "serial_pairs"),
+    "stats": ("LowBitsSource", "StatsReport", "chi_square_equidist", "gap_test",
+              "serial_pairs"),
     "specs": ("GenSpec", "WordSpec", "build_gen", "build_word",
               "parse_gen_spec", "parse_word_spec"),
 }
@@ -47,7 +46,7 @@ __all__ = sorted(_HOME)
 def __getattr__(name):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    value = getattr(_import_module(f".{_HOME[name]}", __name__), name)
     globals()[name] = value         # later lookups skip this hook
     return value
 

@@ -1,12 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: each is a ValueError, which
+the CLI reports with exit code 2."""
 
 
 class AlphabetError(ValueError):
     """A letter falls outside the declared alphabet, or alphabets disagree."""
-
-
-class InsufficientPrefixError(ValueError):
-    """A query needs more letters than the materialized prefix holds."""
 
 
 class DirectiveError(ValueError):

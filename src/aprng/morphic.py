@@ -111,27 +111,6 @@ class Morphism:
             m[:, j] = np.bincount(np.frombuffer(im, dtype=np.uint8), minlength=d)
         return m
 
-    def determinant(self) -> int:
-        """Exact integer determinant of the adjacency matrix (Bareiss)."""
-        m = [[int(x) for x in row] for row in self.adjacency_matrix()]
-        d = len(m)
-        sign = 1
-        prev = 1
-        for k in range(d - 1):
-            if m[k][k] == 0:
-                for r in range(k + 1, d):
-                    if m[r][k] != 0:
-                        m[k], m[r] = m[r], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, d):
-                for j in range(k + 1, d):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[d - 1][d - 1]
-
     def __eq__(self, other):
         return isinstance(other, Morphism) and self.images == other.images
 

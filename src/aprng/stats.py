@@ -202,24 +202,6 @@ def gap_test(source, interval: tuple[float, float], n: int) -> StatsReport:
                        {"interval": [lo, hi], "gaps": total, "cells": t + 1})
 
 
-class RandomSource:
-    """Seeded reference stream used as the calibration fixture."""
-
-    def __init__(self, seed: int = 0):
-        self._rng = np.random.Generator(np.random.PCG64(seed))
-
-    def outputs(self, n: int) -> np.ndarray:
-        return self._rng.integers(0, 1 << 32, size=n, dtype=np.uint32)
-
-
-class ConstantSource:
-    def __init__(self, value: int = 0):
-        self.value = value & 0xFFFFFFFF
-
-    def outputs(self, n: int) -> np.ndarray:
-        return np.full(n, self.value, dtype=np.uint32)
-
-
 class ScaledSource:
     """Left-shifts a narrower generator's outputs to span 32 bits.
 

@@ -258,38 +258,3 @@ def welldoc_scan(stream: WordStream, m: int, max_factor_len: int,
         for name, i in sorted(zip(names, range(len(names)))):
             out[name] = report(name, lv.hits[i], lv.wit[i])
     return out
-
-
-@dataclass(frozen=True)
-class PreservationCertificate:
-    preserved: bool
-    criterion: str          # "unimodular" | "letter-merging" | "none"
-    determinant: int
-    detail: str
-
-    def __bool__(self) -> bool:
-        return self.preserved
-
-
-def preserves_welldoc(phi) -> PreservationCertificate:
-    """Does applying the morphism keep well-distributed occurrences?
-
-    Two sufficient criteria: the incidence matrix has determinant +-1, or the
-    morphism only renames letters onto a strictly smaller alphabet.  Both are
-    uniform in the modulus, so the answer holds for every m.  A False result
-    means no guarantee from these criteria, not a refutation.
-    """
-    det = phi.determinant()
-    if det in (1, -1):
-        return PreservationCertificate(
-            True, "unimodular", det,
-            f"incidence matrix determinant {det}")
-    if all(len(im) == 1 for im in phi.images):
-        used = sorted({im[0] for im in phi.images})
-        k = len(used)
-        if k < phi.alphabet_size and used == list(range(k)):
-            return PreservationCertificate(
-                True, "letter-merging", det,
-                f"renames {phi.alphabet_size} letters onto {k}")
-    return PreservationCertificate(
-        False, "none", det, "neither sufficient criterion applies")

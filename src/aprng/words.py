@@ -3,8 +3,9 @@
 Letters are integers 0..d-1 with 1 <= d <= 16.  Every letter enters the
 package through one check, ``_letters``, which tests the range before any
 cast; alphabet sizes go through ``_alphabet_size``.  Finite words travel as
-``bytes`` (one letter per byte); large materialized prefixes live in a
-PrefixBuffer, a read-only copy of the letters as a numpy uint8 array.
+``bytes`` (one letter per byte); a materialized prefix lives in a
+PrefixBuffer, a read-only copy of the letters as a numpy uint8 array, and
+``parikh(buf.letters[:n], d)`` counts the letters of its first n.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import AlphabetError, InsufficientPrefixError
+from .errors import AlphabetError
 
 MAX_ALPHABET = 16
 
@@ -88,12 +89,6 @@ class PrefixBuffer:
 
     def __len__(self) -> int:
         return int(self.letters.size)
-
-    def parikh_of_prefix(self, n: int) -> tuple[int, ...]:
-        """Parikh vector of the first n letters."""
-        if not 0 <= n <= len(self):
-            raise InsufficientPrefixError(f"prefix length {n} outside 0..{len(self)}")
-        return parikh(self.letters[:n], self.alphabet_size)
 
     def __repr__(self) -> str:
         src = f" source={self.source!r}" if self.source else ""

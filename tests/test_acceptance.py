@@ -17,9 +17,10 @@ from aprng.morphic import (FIBONACCI, Morphism, THUE_MORSE, FixedPointStream,
                            tribonacci_stream)
 from aprng.prng import ShuffledPrng, named_lcg
 from aprng.rotation import fibonacci_rotation
-from aprng.stats import ConstantSource, RandomSource, chi_square_equidist
+from aprng.stats import chi_square_equidist
 from aprng.streams import CycleStream
 from aprng.welldoc import COVERED, WelldocQuery, welldoc_check, welldoc_scan
+from sources import ConstantSource, RandomSource
 
 FIB32 = "01001010010010100101001001010010"
 

@@ -61,22 +61,6 @@ def test_adjacency_matrix_maps_parikh():
     assert np.array_equal(m @ before, after)
 
 
-def test_determinant_known_values():
-    assert FIBONACCI.determinant() == -1
-    assert TRIBONACCI.determinant() == 1
-    assert THUE_MORSE.determinant() == 0
-
-
-@given(st.integers(0, 10 ** 6))
-@settings(max_examples=30, deadline=None)
-def test_determinant_matches_float(seed):
-    rng = random.Random(seed)
-    phi = random_prolongable(rng)
-    exact = phi.determinant()
-    approx = np.linalg.det(phi.adjacency_matrix().astype(np.float64))
-    assert exact == round(approx)
-
-
 def test_fibonacci_prefix_exact():
     s = fibonacci_stream()
     assert bytes(s.take(32)) == bytes(int(c) for c in FIB_PREFIX)

@@ -7,9 +7,9 @@ from aprng import stats
 from aprng.errors import InsufficientDataError, ParameterError
 from aprng.lattice import consecutive_tuples
 from aprng.prng import Lcg, named_lcg
-from aprng.stats import (ConstantSource, LowBitsSource, RandomSource,
-                         ScaledSource, chi_square_equidist, gap_test,
-                         serial_pairs, _cell_widths, _chi2_p)
+from aprng.stats import (LowBitsSource, ScaledSource, chi_square_equidist,
+                         gap_test, serial_pairs, _cell_widths, _chi2_p)
+from sources import ConstantSource, RandomSource
 
 
 class Trickle:

@@ -4,11 +4,11 @@ import pytest
 
 from aprng import welldoc
 from aprng.errors import ParameterError
-from aprng.morphic import (FIBONACCI, THUE_MORSE, TRIBONACCI, FixedPointStream,
-                           Morphism, fibonacci_stream, tribonacci_stream)
+from aprng.morphic import (THUE_MORSE, FixedPointStream, Morphism,
+                           fibonacci_stream, tribonacci_stream)
 from aprng.streams import CycleStream
-from aprng.welldoc import (COVERED, UNDETERMINED, WelldocQuery, preserves_welldoc,
-                           welldoc_check, welldoc_scan)
+from aprng.welldoc import (COVERED, UNDETERMINED, WelldocQuery, welldoc_check,
+                           welldoc_scan)
 
 
 def thue_morse_stream():
@@ -142,21 +142,6 @@ def test_report_as_dict_is_json_ready():
     assert [0, 0] in d["missing"]
     assert d["witnesses"]["0 1"] == [5, 9]
     json.dumps(d)
-
-
-def test_preservation_certificates():
-    fib = preserves_welldoc(FIBONACCI)
-    assert (fib.preserved, fib.criterion, fib.determinant) == (True, "unimodular", -1)
-    trib = preserves_welldoc(TRIBONACCI)
-    assert (trib.preserved, trib.criterion, trib.determinant) == (True, "unimodular", 1)
-    tm = preserves_welldoc(THUE_MORSE)
-    assert (tm.preserved, tm.criterion, tm.determinant) == (False, "none", 0)
-    assert bool(fib) and not bool(tm)
-    merge = preserves_welldoc(Morphism.from_text("0->0,1->1,2->0"))
-    assert (merge.preserved, merge.criterion) == (True, "letter-merging")
-    # a length-1 rename that skips letter 0 compacts nothing it can certify
-    skew = preserves_welldoc(Morphism.from_text("0->1,1->1"))
-    assert (skew.preserved, skew.criterion) == (False, "none")
 
 
 def three_letter_stream():
