@@ -62,12 +62,6 @@ class Morphism:
         self.images = imgs
         self.alphabet_size = d
 
-    @classmethod
-    def from_text(cls, text: str) -> "Morphism":
-        """Parse the rule format ``0->01,1->0``."""
-        from .specs import parse_morphism_rules
-        return cls(parse_morphism_rules(text))
-
     def to_text(self) -> str:
         return ",".join(f"{a}->{word_to_text(im)}" for a, im in enumerate(self.images))
 

@@ -221,7 +221,7 @@ class Lcg:
         C = (self.c * _geometric_sum(self.a, k, self.m)) % self.m
         self.state = (A * self.state + C) % self.m
 
-    def warm_up(self, n: int = 10 ** 9) -> None:
+    def warm_up(self, n: int) -> None:
         self.jump(n)
 
     def fork(self) -> "Lcg":
@@ -294,10 +294,7 @@ class ShuffledPrng:
                     self.counters[a] += count
         return out
 
-    def next(self) -> int:
-        return int(self.outputs(1)[0])
-
-    def warm_up(self, n: int = 10 ** 9) -> None:
+    def warm_up(self, n: int) -> None:
         """Skip n outputs in O(log n): each source warms up by the number of
         times its steering letter occurs in the skipped stretch."""
         if n < 0:

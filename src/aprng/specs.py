@@ -1,9 +1,10 @@
 """Text descriptors for words and generators.
 
 One small grammar covers both command-line arguments and config
-strings.  A descriptor parses into a frozen dataclass tree, formats
-back to a canonical string (``parse(format(spec)) == spec``), and
-builds the live stream or generator on demand.
+strings.  Text flows one way: a descriptor parses into a frozen
+dataclass tree, which builds the live stream or generator on demand.
+Spellings of one descriptor (``fib`` and ``morphism:0->01,1->0``, say)
+parse to equal trees.
 
 Word forms::
 
@@ -21,6 +22,9 @@ Generator forms::
     lcg:m=2^31,a=65539,c=0[,seed=1]
     shuffle:<word>:<gen>,<gen>[,<gen>...]
 
+A generator may stand in parentheses.  A nested shuffle needs them unless
+it is the last of its list, since a bare one takes the rest of the list.
+
 Numbers accept ``2^31``, ``2^47-115``, ``13^13``, plain decimal, and
 integral scientific notation like ``1e6`` or ``2.5e1``, with no sign, no
 underscores and no digit run longer than 4300.  Descriptors and numbers are
@@ -37,7 +41,6 @@ from .errors import SpecParseError
 from .morphic import (FIBONACCI, TRIBONACCI, FixedPointStream,
                       InterleavedStream, MergedStream, Morphism)
 from .streams import CycleStream, WordStream
-from .words import word_to_text
 
 # The rotation, arnoux_rauzy and prng modules load only when a descriptor of
 # their kind is parsed or built, so a command pays for no other kind.
@@ -48,8 +51,7 @@ __all__ = [
     "GenSpec", "LcgSpec", "ShuffleSpec",
     "parse_word_spec", "parse_gen_spec",
     "build_word", "build_gen",
-    "parse_morphism_rules", "parse_number", "format_number",
-    "parse_quadratic", "format_quadratic",
+    "parse_morphism_rules", "parse_number", "parse_quadratic",
 ]
 
 
@@ -110,13 +112,6 @@ def parse_number(text: str, *, where: str = "") -> int:
     return value
 
 
-def format_number(n: int) -> str:
-    """Decimal, except exact powers of two from 2^8 up print as ``2^k``."""
-    if n >= 256 and n & (n - 1) == 0:
-        return f"2^{n.bit_length() - 1}"
-    return str(n)
-
-
 # --------------------------------------------------------------------------
 # quadratic irrationals: (p+q*sqrt(D))/r
 
@@ -138,12 +133,6 @@ def parse_quadratic(text: str) -> QuadraticIrrational:
     if r == 0:
         raise SpecParseError(f"zero denominator in {text!r}", text)
     return QuadraticIrrational(p, q, r, D)
-
-
-def format_quadratic(x: QuadraticIrrational) -> str:
-    if x.q == 0:
-        return f"({x.p})/{x.r}"
-    return f"({x.p}{x.q:+d}*sqrt({x.D}))/{x.r}"
 
 
 # --------------------------------------------------------------------------
@@ -186,14 +175,16 @@ def parse_morphism_rules(text: str) -> list[str]:
     return [images[a] for a in range(d)]
 
 
+def _morphism(text: str) -> Morphism:
+    """Segment reader for the rules of a morphic word."""
+    return Morphism(parse_morphism_rules(text))
+
+
 # --------------------------------------------------------------------------
 # descriptor trees
 
 class WordSpec:
     """Base for word descriptors."""
-
-    def format(self) -> str:
-        raise NotImplementedError
 
     def build(self) -> WordStream:
         raise NotImplementedError
@@ -204,10 +195,6 @@ class MorphicSpec(WordSpec):
     morphism: Morphism
     seed: int = 0
 
-    def format(self) -> str:
-        base = f"morphism:{self.morphism.to_text()}"
-        return base if self.seed == 0 else f"{base}:{self.seed}"
-
     def build(self) -> WordStream:
         return FixedPointStream(self.morphism, self.seed)
 
@@ -215,9 +202,6 @@ class MorphicSpec(WordSpec):
 @dataclass(frozen=True)
 class ArCycleSpec(WordSpec):
     pattern: bytes
-
-    def format(self) -> str:
-        return f"ar:cycle:{word_to_text(self.pattern)}"
 
     def build(self) -> WordStream:
         from .arnoux_rauzy import ArnouxRauzyStream
@@ -228,9 +212,6 @@ class ArCycleSpec(WordSpec):
 class ArMorphicSpec(WordSpec):
     morphism: Morphism
     seed: int
-
-    def format(self) -> str:
-        return f"ar:morphic:{self.morphism.to_text()}:{self.seed}"
 
     def build(self) -> WordStream:
         from .arnoux_rauzy import ArnouxRauzyStream
@@ -243,10 +224,6 @@ class RotationSpec(WordSpec):
     rho: QuadraticIrrational
     convention: str = "left"
 
-    def format(self) -> str:
-        base = f"rot:{format_quadratic(self.alpha)}:{format_quadratic(self.rho)}"
-        return base if self.convention == "left" else f"{base}:{self.convention}"
-
     def build(self) -> WordStream:
         from .rotation import RotationCoding, RotationStream
         return RotationStream(RotationCoding(self.alpha, self.rho,
@@ -258,10 +235,6 @@ class MergeSpec(WordSpec):
     mapping: tuple[int, ...]
     inner: WordSpec
 
-    def format(self) -> str:
-        digits = "".join(str(v) for v in self.mapping)
-        return f"merge:{digits}:{self.inner.format()}"
-
     def build(self) -> WordStream:
         return MergedStream(self.inner.build(), self.mapping)
 
@@ -271,18 +244,12 @@ class InterleaveSpec(WordSpec):
     letter: int
     inner: WordSpec
 
-    def format(self) -> str:
-        return f"interleave:{self.letter}:{self.inner.format()}"
-
     def build(self) -> WordStream:
         return InterleavedStream(self.inner.build(), self.letter)
 
 
 class GenSpec:
     """Base for generator descriptors."""
-
-    def format(self) -> str:
-        raise NotImplementedError
 
     def build(self, seed: int | None = None):
         raise NotImplementedError
@@ -295,11 +262,6 @@ class LcgSpec(GenSpec):
     c: int
     seed: int = 1
 
-    def format(self) -> str:
-        base = (f"lcg:m={format_number(self.m)},a={format_number(self.a)},"
-                f"c={format_number(self.c)}")
-        return base if self.seed == 1 else f"{base},seed={format_number(self.seed)}"
-
     def build(self, seed=None) -> Lcg:
         from .prng import Lcg
         return Lcg(self.m, self.a, self.c,
@@ -310,13 +272,6 @@ class LcgSpec(GenSpec):
 class ShuffleSpec(GenSpec):
     word: WordSpec
     gens: tuple[GenSpec, ...] = field(default_factory=tuple)
-
-    def format(self) -> str:
-        # A bare nested shuffle would swallow the rest of the list, so
-        # inner shuffles are parenthesized.
-        parts = (f"({g.format()})" if isinstance(g, ShuffleSpec) else g.format()
-                 for g in self.gens)
-        return f"shuffle:{self.word.format()}:" + ",".join(parts)
 
     def build(self, seed=None) -> ShuffledPrng:
         from .prng import ShuffledPrng
@@ -344,9 +299,6 @@ class _Cursor:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -409,7 +361,7 @@ def _parse_word(cur: _Cursor, depth: int = 1) -> WordSpec:
     if head in _NAMED_WORDS:
         return _NAMED_WORDS[head]
     if head == "morphism":
-        phi = _field(cur, "then rules like 0->01,1->0", Morphism.from_text)
+        phi = _field(cur, "then rules like 0->01,1->0", _morphism)
         seed = _optional_field(cur, str.isdecimal)
         return MorphicSpec(phi, 0 if seed is None else int(seed))
     if head == "ar":
@@ -419,7 +371,7 @@ def _parse_word(cur: _Cursor, depth: int = 1) -> WordSpec:
                             _digits("directive pattern must be digits"), ":,")
             return ArCycleSpec(bytes(int(ch) for ch in digits))
         if kind == "morphic":
-            phi = _field(cur, "then rules like 0->01,1->0", Morphism.from_text)
+            phi = _field(cur, "then rules like 0->01,1->0", _morphism)
             seed = _field(cur, "then the directive seed letter",
                           _digits("seed letter must be a digit"), ":,")
             return ArMorphicSpec(phi, int(seed))
@@ -502,22 +454,22 @@ def _parse_gen(cur: _Cursor, depth: int = 1) -> GenSpec:
     return gen
 
 
-def parse_word_spec(text: str) -> WordSpec:
+def _parse_whole(text: str, parse, kind: str):
+    """The tree ``parse`` reads from all of ``text``, an ASCII descriptor."""
     cur = _Cursor(text)
-    spec = _parse_word(cur)
-    if not cur.at_end():
-        cur.error("unexpected trailing text after word descriptor")
+    spec = parse(cur)
+    if cur.pos < len(text):
+        cur.error(f"unexpected trailing text after {kind} descriptor")
     _ascii(text)
     return spec
+
+
+def parse_word_spec(text: str) -> WordSpec:
+    return _parse_whole(text, _parse_word, "word")
 
 
 def parse_gen_spec(text: str) -> GenSpec:
-    cur = _Cursor(text)
-    spec = _parse_gen(cur)
-    if not cur.at_end():
-        cur.error("unexpected trailing text after generator descriptor")
-    _ascii(text)
-    return spec
+    return _parse_whole(text, _parse_gen, "generator")
 
 
 def build_word(spec: WordSpec | str) -> WordStream:

@@ -36,12 +36,18 @@ _MAX_RESIDUE_SPACE = 1 << 16
 _CHUNK = 1 << 20
 
 
-def _residue_space(m: int, d: int) -> int:
-    size = m ** d
-    if size > _MAX_RESIDUE_SPACE:
+def _check_scan(m: int, d: int, max_len: int, budget: int) -> None:
+    """Parameters of a scan for factors of up to max_len letters, with counts
+    mod m over d letters, in a prefix of budget letters."""
+    if m < 2:
+        raise ParameterError("modulus must be >= 2")
+    if max_len < 1:
+        raise ParameterError("max_factor_len must be >= 1")
+    if budget <= max_len:
+        raise ParameterError("prefix budget must exceed the factor length")
+    if m ** d > _MAX_RESIDUE_SPACE:
         raise ParameterError(
             f"residue space m^d = {m}^{d} exceeds {_MAX_RESIDUE_SPACE}")
-    return size
 
 
 @dataclass(frozen=True)
@@ -59,11 +65,8 @@ class WelldocQuery:
             self, "factor", as_word(self.factor, self.stream.alphabet_size))
         if len(self.factor) < 1:
             raise ParameterError("factor must be nonempty")
-        if self.modulus < 2:
-            raise ParameterError("modulus must be >= 2")
-        if self.max_prefix <= len(self.factor):
-            raise ParameterError("prefix budget must exceed the factor length")
-        _residue_space(self.modulus, self.stream.alphabet_size)
+        _check_scan(self.modulus, self.stream.alphabet_size, len(self.factor),
+                    self.max_prefix)
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,7 @@ def _scan(stream: WordStream, m: int, min_len: int, max_len: int,
     from there ends, or in the final chunk.  Lengths below min_len only pass
     ids on.  The pass stops after a chunk where ``done(levels)`` holds."""
     d = stream.alphabet_size
-    size = _residue_space(m, d)
+    size = m ** d
     levels = [_Level(size) for _ in range(max_len)]
     s = stream.fork()
     carry = np.zeros(d, dtype=np.int64)       # letter counts before work[0]
@@ -242,13 +245,8 @@ def welldoc_scan(stream: WordStream, m: int, max_factor_len: int,
     """Coverage reports for every factor of length <= max_factor_len in the
     prefix, which is read whole since a factor may first occur late.
     ``threads`` has no effect; it is kept for callers that pass it."""
-    if m < 2:
-        raise ParameterError("modulus must be >= 2")
-    if max_factor_len < 1:
-        raise ParameterError("max_factor_len must be >= 1")
-    if max_prefix <= max_factor_len:
-        raise ParameterError("prefix budget must exceed the factor length")
     d = stream.alphabet_size
+    _check_scan(m, d, max_factor_len, max_prefix)
     levels, taken = _scan(stream, m, 1, max_factor_len, max_prefix)
     report = _reporter(m, d, taken)
     out = {}

@@ -17,6 +17,7 @@ from aprng.morphic import (FIBONACCI, Morphism, THUE_MORSE, FixedPointStream,
                            tribonacci_stream)
 from aprng.prng import ShuffledPrng, named_lcg
 from aprng.rotation import fibonacci_rotation
+from aprng.specs import parse_morphism_rules
 from aprng.stats import chi_square_equidist
 from aprng.streams import CycleStream
 from aprng.welldoc import COVERED, WelldocQuery, welldoc_check, welldoc_scan
@@ -60,14 +61,15 @@ def _random_expanding_morphism(rng: random.Random) -> tuple[Morphism, int]:
             img[0] = seed
         images.append("".join(str(c) for c in img))
     text = ",".join(f"{a}->{img}" for a, img in enumerate(images))
-    return Morphism.from_text(text), seed
+    return Morphism(parse_morphism_rules(text)), seed
 
 
 def test_criterion_02_block_equals_naive_iteration(capsys):
     t0 = time.perf_counter()
     n = 10 ** 6
     rng = random.Random(20260822)
-    cases = [(FIBONACCI, 0), (Morphism.from_text("0->01,1->02,2->0"), 0)]
+    cases = [(FIBONACCI, 0),
+             (Morphism(parse_morphism_rules("0->01,1->02,2->0")), 0)]
     cases += [_random_expanding_morphism(rng) for _ in range(5)]
     for phi, seed in cases:
         oracle = np.frombuffer(iterate_fixed_point(phi, seed, n)[:n], dtype=np.uint8)

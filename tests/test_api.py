@@ -1,5 +1,6 @@
 import importlib
 import pathlib
+import re
 import types
 
 import aprng
@@ -54,6 +55,17 @@ def test_only_the_cli_opens_files():
     openers = sorted(p.name for p in package.glob("*.py")
                      if "open(" in p.read_text())
     assert openers == ["cli.py"]
+
+
+def test_only_the_cli_imports_specs():
+    # descriptor text flows one way: the spec layer parses and builds from
+    # the modules below it, and none of them reaches back up to it
+    package = pathlib.Path(aprng.__file__).parent
+    importers = sorted(
+        p.name for p in package.glob("*.py")
+        if re.search(r"from \.specs import|from \. import .*\bspecs\b"
+                     r"|import aprng\.specs", p.read_text()))
+    assert importers == ["cli.py"]
 
 
 def test_word_stream_protocol_is_pinned():

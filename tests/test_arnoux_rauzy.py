@@ -10,6 +10,7 @@ from aprng.arnoux_rauzy import (ArnouxRauzyStream, iterated_palindromic_closure,
 from aprng.errors import DirectiveError
 from aprng.morphic import (FixedPointStream, Morphism, fibonacci_stream,
                            iterate_fixed_point, tribonacci_stream)
+from aprng.specs import parse_morphism_rules
 from aprng.streams import CycleStream
 from aprng.words import as_word, parikh
 
@@ -142,7 +143,7 @@ def test_periodic_directive_is_checked_exactly():
     ("0->02,1->1,2->1", {1}),             # letter 2 occurs once: 02111...
 ])
 def test_recurrent_letters_of_fixed_points(rules, recurrent):
-    phi = Morphism.from_text(rules)
+    phi = Morphism(parse_morphism_rules(rules))
     assert phi.recurrent_letters(0) == recurrent
     # the letters that recur are those still seen far into the prefix
     u = iterate_fixed_point(phi, 0, 1000)
@@ -151,7 +152,7 @@ def test_recurrent_letters_of_fixed_points(rules, recurrent):
 
 @pytest.mark.parametrize("rules", ["0->01,1->1", "0->01,1->2,2->1"])
 def test_fixed_point_directive_missing_a_letter_is_rejected(rules):
-    directive = FixedPointStream(Morphism.from_text(rules), 0)
+    directive = FixedPointStream(Morphism(parse_morphism_rules(rules)), 0)
     with pytest.raises(DirectiveError, match="finitely often"):
         ArnouxRauzyStream(directive)
 

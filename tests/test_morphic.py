@@ -13,6 +13,7 @@ from aprng.morphic import (FIBONACCI, THUE_MORSE, TRIBONACCI, FixedPointStream,
                            InterleavedStream, MergedStream, Morphism,
                            fibonacci_stream, iterate_fixed_point, naive_stream,
                            tribonacci_stream)
+from aprng.specs import parse_morphism_rules
 
 FIB_PREFIX = "01001010010010100101001001010010"
 
@@ -48,8 +49,8 @@ def test_morphism_apply_and_text():
     assert FIBONACCI.apply("0") == b"\x00\x01"
     assert FIBONACCI.apply("01") == bytes([0, 1, 0])
     assert FIBONACCI.to_text() == "0->01,1->0"
-    assert Morphism.from_text("0->01,1->0") == FIBONACCI
-    assert Morphism.from_text(TRIBONACCI.to_text()) == TRIBONACCI
+    assert Morphism(parse_morphism_rules("0->01,1->0")) == FIBONACCI
+    assert Morphism(parse_morphism_rules(TRIBONACCI.to_text())) == TRIBONACCI
 
 
 def test_adjacency_matrix_maps_parikh():

@@ -4,23 +4,22 @@ import pytest
 
 from aprng import specs
 from aprng.errors import AlphabetError, ParameterError, SpecParseError
-from aprng.morphic import FIBONACCI, InterleavedStream, Morphism, fibonacci_stream
+from aprng.morphic import (FIBONACCI, TRIBONACCI, InterleavedStream, Morphism,
+                           fibonacci_stream)
 from aprng.prng import NAMED_LCGS, ShuffledPrng, named_lcg
 from aprng.rotation import QuadraticIrrational
 from aprng.streams import CycleStream
 from aprng.specs import (FIB2_SPEC, FIB_SPEC, TRIB_SPEC, ArCycleSpec,
                          ArMorphicSpec, InterleaveSpec, LcgSpec, MergeSpec,
                          MorphicSpec, RotationSpec, ShuffleSpec, build_gen,
-                         build_word, format_number, format_quadratic,
-                         parse_gen_spec, parse_morphism_rules, parse_number,
-                         parse_quadratic, parse_word_spec)
+                         build_word, parse_gen_spec, parse_morphism_rules,
+                         parse_number, parse_quadratic, parse_word_spec)
 
 
 def test_aliases():
     assert parse_word_spec("fib") == FIB_SPEC == MorphicSpec(FIBONACCI, 0)
     assert parse_word_spec("trib") == TRIB_SPEC
     assert parse_word_spec("fib2") == FIB2_SPEC == InterleaveSpec(2, FIB_SPEC)
-    assert FIB_SPEC.format() == "morphism:0->01,1->0"
     for name, (m, a, c) in NAMED_LCGS.items():
         assert parse_gen_spec(name) == LcgSpec(m, a, c)
 
@@ -29,6 +28,9 @@ def test_aliases():
     ("2^31", 2 ** 31), ("2^47-115", 2 ** 47 - 115), ("13^13", 13 ** 13),
     ("2^10+3", 1027), ("1000000", 10 ** 6), ("1e6", 10 ** 6),
     ("0", 0), ("5e3", 5000), ("1^99999999", 1), ("2.5e1", 25),
+    ("2^8", 256), ("255", 255), ("2^64", 2 ** 64), ("65539", 65539),
+    # the largest power the bit cap lets through
+    pytest.param("2^65536", 2 ** 65536, id="2^65536"),
 ])
 def test_parse_number(text, value):
     assert parse_number(text) == value
@@ -55,25 +57,12 @@ def test_long_digit_runs_are_placed_spec_errors():
         assert (exc.value.text, exc.value.pos) == (text, pos)
 
 
-def test_format_number_round_trips():
-    cases = [0, 7, 100, 255, 256, 1024, 2 ** 31, 2 ** 64, 65539, 10 ** 6,
-             2 ** 65536]
-    for n in cases:
-        assert parse_number(format_number(n)) == n
-    assert format_number(256) == "2^8"
-    assert format_number(2 ** 31) == "2^31"
-    assert format_number(255) == "255"
-    assert format_number(128) == "128"      # short powers stay decimal
-
-
 def test_quadratic_parse_format():
     golden = QuadraticIrrational(3, -1, 2, 5)
     assert parse_quadratic("(3-1*sqrt(5))/2") == golden
     assert parse_quadratic("(0)/1") == QuadraticIrrational.from_rational(0)
     # non-canonical input lands on the canonical form
     assert parse_quadratic("(6-2*sqrt(5))/4") == golden
-    assert format_quadratic(golden) == "(3-1*sqrt(5))/2"
-    assert format_quadratic(QuadraticIrrational.from_rational(0)) == "(0)/1"
     for text in ["sqrt(5)", "(1+sqrt(5))/2", "(1+1*sqrt(5))", "1/2", ""]:
         with pytest.raises(SpecParseError):
             parse_quadratic(text)
@@ -90,33 +79,46 @@ def test_parse_morphism_rules():
             parse_morphism_rules(bad)
 
 
-CANONICAL = [
-    "morphism:0->01,1->0",
-    "morphism:0->01,1->0:1",
-    "morphism:0->001,1->0",
-    "ar:cycle:012",
-    "ar:morphic:0->01,1->02,2->0:0",
-    "rot:(3-1*sqrt(5))/2:(0)/1",
-    "rot:(-1+1*sqrt(5))/2:(1)/3:right",
-    "merge:010:morphism:0->01,1->02,2->0",
-    "interleave:2:morphism:0->01,1->0",
-    "lcg:m=2^31,a=65539,c=0",
-    "lcg:m=1000,a=333,c=7,seed=9",
-    "shuffle:morphism:0->01,1->0:lcg:m=2^31,a=65539,c=0,lcg:m=2^31,a=65539,c=0,seed=7",
-    "shuffle:morphism:0->01,1->0:(shuffle:morphism:0->01,1->0:lcg:m=2^31,a=65539,c=0,lcg:m=2^31,a=65539,c=0),lcg:m=2^31,a=65539,c=0",
-]
+RANDU = LcgSpec(2 ** 31, 65539, 0)
+GOLDEN = QuadraticIrrational(3, -1, 2, 5)
+
+# each canonical spelling, with the tree it parses to
+CANONICAL = {
+    "morphism:0->01,1->0": MorphicSpec(FIBONACCI, 0),
+    "morphism:0->01,1->0:1": MorphicSpec(FIBONACCI, 1),
+    "morphism:0->001,1->0": MorphicSpec(Morphism(["001", "0"]), 0),
+    "ar:cycle:012": ArCycleSpec(b"\x00\x01\x02"),
+    "ar:morphic:0->01,1->02,2->0:0": ArMorphicSpec(TRIBONACCI, 0),
+    "rot:(3-1*sqrt(5))/2:(0)/1": RotationSpec(
+        GOLDEN, QuadraticIrrational.from_rational(0), "left"),
+    "rot:(-1+1*sqrt(5))/2:(1)/3:right": RotationSpec(
+        QuadraticIrrational(-1, 1, 2, 5), QuadraticIrrational(1, 0, 3, 1),
+        "right"),
+    "merge:010:morphism:0->01,1->02,2->0": MergeSpec(
+        (0, 1, 0), MorphicSpec(TRIBONACCI, 0)),
+    "interleave:2:morphism:0->01,1->0": InterleaveSpec(
+        2, MorphicSpec(FIBONACCI, 0)),
+    "lcg:m=2^31,a=65539,c=0": RANDU,
+    "lcg:m=1000,a=333,c=7,seed=9": LcgSpec(1000, 333, 7, 9),
+    "shuffle:morphism:0->01,1->0:lcg:m=2^31,a=65539,c=0,lcg:m=2^31,a=65539,c=0,seed=7":
+        ShuffleSpec(MorphicSpec(FIBONACCI, 0),
+                    (RANDU, LcgSpec(2 ** 31, 65539, 0, 7))),
+    "shuffle:morphism:0->01,1->0:(shuffle:morphism:0->01,1->0:lcg:m=2^31,a=65539,c=0,lcg:m=2^31,a=65539,c=0),lcg:m=2^31,a=65539,c=0":
+        ShuffleSpec(MorphicSpec(FIBONACCI, 0),
+                    (ShuffleSpec(MorphicSpec(FIBONACCI, 0), (RANDU, RANDU)),
+                     RANDU)),
+}
+
+
+def parse_either(text):
+    if text.startswith(("lcg", "shuffle", "randu")):
+        return parse_gen_spec(text)
+    return parse_word_spec(text)
 
 
 @pytest.mark.parametrize("text", CANONICAL)
 def test_canonical_strings_round_trip(text):
-    if text.startswith(("lcg", "shuffle")):
-        spec = parse_gen_spec(text)
-        assert spec.format() == text
-        assert parse_gen_spec(spec.format()) == spec
-    else:
-        spec = parse_word_spec(text)
-        assert spec.format() == text
-        assert parse_word_spec(spec.format()) == spec
+    assert parse_either(text) == CANONICAL[text]
 
 
 @pytest.mark.parametrize("text,canonical", [
@@ -129,69 +131,101 @@ def test_canonical_strings_round_trip(text):
     ("lcg:m=2147483648,a=65539,c=0", "lcg:m=2^31,a=65539,c=0"),
 ])
 def test_shorthand_normalizes(text, canonical):
-    try:
-        spec = parse_gen_spec(text)
-    except SpecParseError:
-        spec = parse_word_spec(text)
-    assert spec.format() == canonical
+    assert parse_either(text) == parse_either(canonical)
 
+
+# Random trees, each with a spelling of its own: rules in any order, and
+# optional parts (a seed letter 0, a left convention, an lcg seed 1, the
+# parentheses of a nested shuffle that ends its list) written or left out.
 
 def rand_quadratic(rng):
-    return QuadraticIrrational(rng.randint(-9, 9), rng.randint(-4, 4),
-                               rng.randint(1, 9), rng.choice([2, 3, 5, 7, 10]))
+    p, q, r = rng.randint(-9, 9), rng.randint(-4, 4), rng.randint(1, 9)
+    D = rng.choice([2, 3, 5, 7, 10])
+    text = (f"({p})/{r}" if q == 0 and rng.random() < 0.5
+            else f"({p}{q:+d}*sqrt({D}))/{r}")
+    return QuadraticIrrational(p, q, r, D), text
 
 
 def rand_morphism(rng):
     d = rng.randint(1, 3)
     images = ["".join(str(rng.randrange(d)) for _ in range(rng.randint(1, 3)))
               for _ in range(d)]
-    return Morphism(images)
+    rules = [f"{a}->{im}" for a, im in enumerate(images)]
+    rng.shuffle(rules)
+    return Morphism(images), ",".join(rules)
+
+
+def optional(rng, text, default):
+    """``text`` after a colon, or nothing when it is the default and a coin
+    says so."""
+    return "" if text == default and rng.random() < 0.5 else f":{text}"
 
 
 def rand_word(rng, depth):
-    kinds = ["morphic", "cycle", "armorphic", "rot"]
+    kinds = ["morphic", "cycle", "armorphic", "rot", "named"]
     if depth > 0:
         kinds += ["merge", "interleave"]
     kind = rng.choice(kinds)
     if kind == "morphic":
-        return MorphicSpec(rand_morphism(rng), rng.choice([0, 0, 1, 2, 17]))
+        (phi, rules), seed = rand_morphism(rng), rng.choice([0, 0, 1, 2, 17])
+        return (MorphicSpec(phi, seed),
+                f"morphism:{rules}" + optional(rng, str(seed), "0"))
     if kind == "cycle":
         k = rng.randint(1, 4)
-        return ArCycleSpec(bytes(rng.randrange(10) for _ in range(k)))
+        pattern = bytes(rng.randrange(10) for _ in range(k))
+        return ArCycleSpec(pattern), "ar:cycle:" + "".join(map(str, pattern))
     if kind == "armorphic":
-        return ArMorphicSpec(rand_morphism(rng), rng.randint(0, 9))
+        (phi, rules), seed = rand_morphism(rng), rng.randint(0, 9)
+        return ArMorphicSpec(phi, seed), f"ar:morphic:{rules}:{seed}"
     if kind == "rot":
-        return RotationSpec(rand_quadratic(rng), rand_quadratic(rng),
-                            rng.choice(["left", "right"]))
-    inner = rand_word(rng, depth - 1)
+        (alpha, a), (rho, r) = rand_quadratic(rng), rand_quadratic(rng)
+        convention = rng.choice(["left", "right"])
+        return (RotationSpec(alpha, rho, convention),
+                f"rot:{a}:{r}" + optional(rng, convention, "left"))
+    if kind == "named":
+        return rng.choice([(FIB_SPEC, "fib"), (TRIB_SPEC, "trib"),
+                           (FIB2_SPEC, "fib2")])
+    inner, text = rand_word(rng, depth - 1)
     if kind == "merge":
-        k = rng.randint(1, 3)
-        return MergeSpec(tuple(rng.randrange(10) for _ in range(k)), inner)
-    return InterleaveSpec(rng.randrange(10), inner)
+        mapping = tuple(rng.randrange(10) for _ in range(rng.randint(1, 3)))
+        return (MergeSpec(mapping, inner),
+                f"merge:{''.join(map(str, mapping))}:{text}")
+    letter = rng.randrange(10)
+    return InterleaveSpec(letter, inner), f"interleave:{letter}:{text}"
 
 
 def rand_gen(rng, depth):
     if depth > 0 and rng.random() < 0.4:
-        k = rng.randint(1, 3)
-        return ShuffleSpec(rand_word(rng, depth - 1),
-                           tuple(rand_gen(rng, depth - 1) for _ in range(k)))
-    m = rng.choice([2 ** 31, 2 ** 64, 1000, 2 ** 47 - 115, 7])
-    return LcgSpec(m, rng.randrange(max(m, 2)), rng.randrange(max(m, 2)),
-                   rng.choice([1, 1, 0, 9, 2 ** 20]))
+        word, text = rand_word(rng, depth - 1)
+        gens = [rand_gen(rng, depth - 1) for _ in range(rng.randint(1, 3))]
+        parts = [f"({t})" if isinstance(g, ShuffleSpec)
+                 and (i < len(gens) - 1 or rng.random() < 0.5) else t
+                 for i, (g, t) in enumerate(gens)]
+        return (ShuffleSpec(word, tuple(g for g, _ in gens)),
+                f"shuffle:{text}:" + ",".join(parts))
+    m, m_text = rng.choice([(2 ** 31, "2^31"), (2 ** 64, "2^64"), (1000, "1e3"),
+                            (2 ** 47 - 115, "2^47-115"), (7, "7")])
+    a, c = rng.randrange(m), rng.randrange(m)
+    seed = rng.choice([1, 1, 0, 9, 2 ** 20])
+    params = [f"m={m_text}", f"a={a}", f"c={c}"]
+    if seed != 1 or rng.random() < 0.5:
+        params.append(f"seed={seed}")
+    rng.shuffle(params)
+    return LcgSpec(m, a, c, seed), "lcg:" + ",".join(params)
 
 
 def test_random_word_trees_round_trip():
     rng = random.Random(12345)
     for _ in range(1000):
-        spec = rand_word(rng, 2)
-        assert parse_word_spec(spec.format()) == spec
+        spec, text = rand_word(rng, 2)
+        assert parse_word_spec(text) == spec, text
 
 
 def test_random_gen_trees_round_trip():
     rng = random.Random(54321)
     for _ in range(1000):
-        spec = rand_gen(rng, 2)
-        assert parse_gen_spec(spec.format()) == spec
+        spec, text = rand_gen(rng, 2)
+        assert parse_gen_spec(text) == spec, text
 
 
 def test_nested_shuffle_shapes():
@@ -274,17 +308,25 @@ def test_segment_errors_quote_the_whole_descriptor(text, pos):
     assert (exc.value.text, exc.value.pos) == (text, pos)
 
 
+def nesting(spec, inner):
+    """How many merges or shuffles lie one inside another from ``spec``."""
+    depth = 0
+    while isinstance(spec, (MergeSpec, ShuffleSpec)):
+        spec, depth = inner(spec), depth + 1
+    return depth
+
+
 def test_nesting_is_bounded():
     limit = specs._MAX_NESTING
     merge = "merge:01:" * (limit - 1) + "fib"
-    assert parse_word_spec(merge).format().count("merge") == limit - 1
+    assert nesting(parse_word_spec(merge), lambda w: w.inner) == limit - 1
     with pytest.raises(SpecParseError) as exc:
         parse_word_spec("merge:01:" + merge)
     assert exc.value.pos == len("merge:01:" * limit)
     shuffle = "randu"
     for _ in range(limit - 1):
         shuffle = f"shuffle:fib:({shuffle}),randu"
-    assert parse_gen_spec(shuffle).format().count("shuffle") == limit - 1
+    assert nesting(parse_gen_spec(shuffle), lambda g: g.gens[0]) == limit - 1
     with pytest.raises(SpecParseError):
         parse_gen_spec(f"shuffle:fib:({shuffle}),randu")
     # grouping parentheses add no level, and no recursion

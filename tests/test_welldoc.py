@@ -6,6 +6,7 @@ from aprng import welldoc
 from aprng.errors import ParameterError
 from aprng.morphic import (THUE_MORSE, FixedPointStream, Morphism,
                            fibonacci_stream, tribonacci_stream)
+from aprng.specs import parse_morphism_rules
 from aprng.streams import CycleStream
 from aprng.welldoc import (COVERED, UNDETERMINED, WelldocQuery, welldoc_check,
                            welldoc_scan)
@@ -145,7 +146,8 @@ def test_report_as_dict_is_json_ready():
 
 
 def three_letter_stream():
-    return FixedPointStream(Morphism.from_text("0->01,1->20,2->1"), 0)
+    return FixedPointStream(
+        Morphism(parse_morphism_rules("0->01,1->20,2->1")), 0)
 
 
 def cycle_stream():
