@@ -15,23 +15,26 @@ on).  Other moduli, among them every one below 2^32, step a plain Python-int
 loop, which also serves as the oracle of both lane paths.
 
 Every array that outputs or raw_states returns is fresh and belongs to the
-caller; stream_export relies on that when it writes one chunk while it
-computes the next.  Each Lcg steps its states into a scratch buffer of its
-own (never shared, not even with a fork) and each ShuffledPrng keeps a
-letter mask of its own; both are reused from call to call, so a stream does
-not allocate a new chunk-sized temporary for each step of the pipeline.
+caller.  Each Lcg steps its states into a scratch buffer of its own (never
+shared, not even with a fork) and each ShuffledPrng keeps a letter mask of
+its own; both are reused from call to call, so a stream does not allocate a
+new chunk-sized temporary for each step of the pipeline.  The pipeline runs
+_CHUNK values at a time, a piece whose LE32 output and uint64 scratch fit in
+a 2 MiB L2 cache, so export holds about 16 * _CHUNK bytes of values whatever
+its count.  stream_export writes each piece as soon as it is computed, with
+no writer thread: a pipe buffer of two pieces or more does the write-behind.
 """
 from __future__ import annotations
 
 import math
-import threading
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import AlphabetError, ParameterError
 from .streams import WordStream
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 17
 _LANES = 1 << 12
 # Pseudo-Mersenne lanes: each lane start is a Python-int step (about 0.3 us)
 # and each vector step a dozen numpy calls (about 28 us), so about
@@ -40,15 +43,27 @@ _LANE_BALANCE = 64
 
 
 def _geometric_sum(a: int, k: int, m: int) -> int:
-    """1 + a + ... + a^(k-1) mod m, by binary splitting (no division)."""
-    g, apow = 0, 1
-    for bit in reversed(range(k.bit_length())):
-        g = (g * (apow + 1)) % m
-        apow = (apow * apow) % m
-        if (k >> bit) & 1:
-            g = (g * a + 1) % m
-            apow = (apow * a) % m
-    return g
+    """1 + a + ... + a^(k-1) mod m.  (a^k - 1)/(a - 1) is exact modulo
+    (a - 1)*m, so one pow mod (a - 1)*m gives it."""
+    if a < 2:
+        return (k if a else min(k, 1)) % m
+    return (pow(a, k, (a - 1) * m) - 1) // (a - 1) % m
+
+
+@lru_cache(maxsize=16)
+def _lane_tables(m: int, a: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only uint64 (a^(j+1), c*(1 + a + ... + a^j)) mod m for the lanes
+    j < _LANES of a power-of-two modulus m: Z_{j+1} = a^(j+1)*Z_0 +
+    c*(1 + ... + a^j).  Products wrap mod 2^64, a multiple of m."""
+    powers = np.full(_LANES, a, dtype=np.uint64)
+    powers[0] = 1
+    np.cumprod(powers, out=powers)                  # a^j
+    sums = np.cumsum(powers) * np.uint64(c)
+    powers *= np.uint64(a)
+    for table in (powers, sums):
+        table &= np.uint64(m - 1)           # all ones for m = 2^64
+        table.setflags(write=False)
+    return powers, sums
 
 
 def _pseudo_mersenne(m: int, a: int, c: int) -> tuple[int, int] | None:
@@ -145,26 +160,18 @@ class Lcg:
     def _states_pow2(self, n: int, buffer) -> np.ndarray:
         # lane j holds Z_{t*K + j + 1}; one vector op advances all lanes K
         # steps.  Products wrap mod 2^64, so the mask is needed below 2^64 only.
-        m, a, c = self.m, self.a, self.c
-        mask = np.uint64(m - 1) if m < 1 << 64 else None
+        mask = np.uint64(self.m - 1) if self.m < 1 << 64 else None
+        powers, sums = _lane_tables(self.m, self.a, self.c)
         K = min(n, _LANES)
         steps = -(-n // K)
         states = buffer(steps * K).reshape(steps, K)
-        apow = np.ones(K, dtype=np.uint64)
-        apow[1:] = a
-        np.cumprod(apow, out=apow)                      # a^j mod 2^64
-        gsum = np.zeros(K, dtype=np.uint64)
-        np.cumsum(apow[:K - 1], out=gsum[1:])           # 1 + ... + a^(j-1)
         lanes = states[0]
-        np.multiply(apow, np.uint64(a * self.state % m), out=lanes)
-        gsum *= np.uint64(a)
-        gsum += np.uint64(1)
-        gsum *= np.uint64(c)
-        lanes += gsum                                   # Z_{j+1}
+        np.multiply(powers[:K], np.uint64(self.state), out=lanes)
+        lanes += sums[:K]                               # Z_{j+1}
         if mask is not None:
             lanes &= mask
-        A = np.uint64(pow(a, K, m))
-        C = np.uint64((c * _geometric_sum(a, K, m)) % m)
+        # with more than one row, K = _LANES and row K-1 steps by a^K
+        A, C = powers[K - 1], sums[K - 1]
         for t in range(1, steps):
             row = states[t]
             np.multiply(lanes, A, out=row)
@@ -327,51 +334,21 @@ def _value_chunks(source, n: int, size: int):
             raise ParameterError(f"source gave no values with {n - off} owed")
         off += piece.size
         yield piece
-        del piece       # lets the caller free it while the next one is made
 
 
 def stream_export(source, n: int, sink) -> int:
     """Write n outputs as little-endian 32-bit words to the writable binary
     file sink; returns bytes written.  Byte-identical across runs for
-    identical parameters and seeds.
-
-    Each piece of _CHUNK values is written on a thread of its own while the
-    next one is computed, so a source's outputs(k) must return an array that
-    its next call does not overwrite, as every source in this package does.
-    The writer is joined before each hand-off, so at most one write is in
-    flight and no thread outlives the call; a piece is freed as soon as its
-    write ends, and an error of a write is raised here.
+    identical parameters and seeds.  Each piece of _CHUNK values is written
+    before the next is computed; an error of a write is raised here.
     """
     if n < 0:
         raise ParameterError("n must be >= 0")
-    failed = []
-
-    def write(data):
-        try:
-            sink.write(data)
-        except Exception as e:          # raised again in the caller
-            failed.append(e)
-
-    writer = None
     written = 0
-    try:
-        for chunk in _value_chunks(source, n, _CHUNK):
-            # no copy of a contiguous uint32 chunk on a little-endian host
-            data = np.ascontiguousarray(chunk, dtype="<u4")
-            if writer is not None:
-                writer.join()
-                if failed:
-                    break
-            writer = threading.Thread(target=write, args=(data,))
-            writer.start()
-            written += data.nbytes
-            # the writer holds the only reference, so the piece is freed
-            # when its write ends, not after the next piece is computed
-            del chunk, data
-    finally:
-        if writer is not None:
-            writer.join()
-    if failed:
-        raise failed[0]
+    for chunk in _value_chunks(source, n, _CHUNK):
+        # no copy of a contiguous uint32 chunk on a little-endian host
+        data = np.ascontiguousarray(chunk, dtype="<u4")
+        sink.write(data)
+        written += data.nbytes
     sink.flush()
     return written

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import SpecParseError
 from .morphic import (FIBONACCI, TRIBONACCI, FixedPointStream,
@@ -44,6 +45,9 @@ from .streams import CycleStream, WordStream
 
 # The rotation, arnoux_rauzy and prng modules load only when a descriptor of
 # their kind is parsed or built, so a command pays for no other kind.
+if TYPE_CHECKING:
+    from .prng import Lcg, ShuffledPrng
+    from .rotation import QuadraticIrrational
 
 __all__ = [
     "WordSpec", "MorphicSpec", "ArCycleSpec", "ArMorphicSpec",

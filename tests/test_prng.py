@@ -1,8 +1,8 @@
 import io
+import random
 import struct
 import threading
-import time
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +141,47 @@ def test_buffered_paths_match_loop_over_successive_calls(name):
         off += n
         if n:
             assert g.state == int(want[off - 1])
+
+
+LANE_TABLED = ["l64_28", "l59", "randu"]
+
+
+@pytest.mark.parametrize("name", LANE_TABLED)
+def test_lane_tables_match_next_loop(name):
+    K, B = prng._LANES, prng._CHUNK
+    for n in (1, K - 1, K, K + 1, 3 * B + 5):
+        g, ref = named_lcg(name, 12345), named_lcg(name, 12345)
+        assert g.outputs(n).tolist() == [ref.next() for _ in range(n)]
+        assert g.state == ref.state
+
+
+@pytest.mark.parametrize("name", LANE_TABLED)
+def test_lane_tables_are_shared_read_only(name):
+    # generators of one (m, a, c) share the tables, whatever their seeds
+    lengths = (5, prng._LANES + 1, prng._CHUNK + 3, 1)
+    alone = [named_lcg(name, seed).outputs(sum(lengths)) for seed in (3, 4)]
+    turns = [named_lcg(name, 3), named_lcg(name, 4)]
+    parts = [[], []]
+    for n in lengths:
+        for g, part in zip(turns, parts):
+            part.append(g.outputs(n))
+    for whole, part in zip(alone, parts):
+        assert np.array_equal(np.concatenate(part), whole)
+    tables = prng._lane_tables(*NAMED_LCGS[name])
+    assert tables is prng._lane_tables(*NAMED_LCGS[name])
+    for table in tables:
+        assert table.size == prng._LANES and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+@pytest.mark.parametrize("m", [2, 7, 2 ** 31, 2 ** 47 - 115, 2 ** 63 - 25, 2 ** 64])
+def test_geometric_sum_matches_brute_sum(m):
+    rng = random.Random(m)
+    for a in (0, 1, rng.randrange(m)):
+        for k in (0, 1, rng.randrange(200)):
+            brute = sum(a ** i for i in range(k)) % m
+            assert prng._geometric_sum(a, k, m) == brute, (a, k)
 
 
 @pytest.mark.parametrize("name", BUFFERED)
@@ -384,42 +425,37 @@ def test_stream_export_array_source():
         stream_export(arr, -1, io.BytesIO())
 
 
-def test_stream_export_writes_behind_across_chunks():
-    # each piece is written while the next is computed
+def test_stream_export_across_chunks():
     n = 3 * prng._CHUNK + 5
     sink = io.BytesIO()
     assert stream_export(named_lcg("l64_28"), n, sink) == 4 * n
     assert sink.getvalue() == named_lcg("l64_28").outputs(n).astype("<u4").tobytes()
 
 
-class HandOffSource:
-    """Fresh pieces of 0, 1, 2, ...; before it makes a piece, the piece it
-    made last must have been freed, that is, written and let go."""
-    def __init__(self):
-        self.last = None
-        self.made = 0
+class NullSink:
+    def write(self, data):
+        pass
 
-    def outputs(self, k):
-        deadline = time.monotonic() + 2
-        while self.last is not None and self.last() is not None:
-            assert time.monotonic() < deadline, "a written piece is still held"
-            time.sleep(0.001)
-        piece = np.arange(self.made, self.made + k, dtype=np.uint32)
-        self.made += k
-        self.last = weakref.ref(piece)
-        return piece
+    def flush(self):
+        pass
 
 
-def test_stream_export_frees_each_piece_once_written():
-    n = 3 * prng._CHUNK + 5
-    sink = io.BytesIO()
-    assert stream_export(HandOffSource(), n, sink) == 4 * n
-    assert sink.getvalue() == np.arange(n, dtype="<u4").tobytes()
+@pytest.mark.parametrize("spec", ["l64_28", "l63-25", "shuffle:fib:l64_28,l64_32"])
+def test_stream_export_holds_bounded_memory(spec):
+    # about 16 bytes per value of one chunk, not of the whole count
+    n = 1 << 22
+    source = parse_gen_spec(spec).build()
+    tracemalloc.start()
+    try:
+        assert stream_export(source, n, NullSink()) == 4 * n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 class ClosingSink:
-    """Fails as a pipe whose reader has left on write number fail_at, after
-    a pause in which the caller runs ahead."""
+    """Fails as a pipe whose reader has left, on write number fail_at."""
     def __init__(self, fail_at):
         self.fail_at = fail_at
         self.writes = 0
@@ -427,7 +463,6 @@ class ClosingSink:
     def write(self, data):
         self.writes += 1
         if self.writes == self.fail_at:
-            time.sleep(0.05)
             raise BrokenPipeError("reader left")
 
     def flush(self):

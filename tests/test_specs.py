@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -404,6 +406,27 @@ def test_build_gen_and_seed_override():
     z3 = build_gen("shuffle:fib:randu,lcg:m=2^31,a=65539,c=0,seed=7", seed=3)
     assert all(src.state == 3 for src in z3.sources)
 
+
+def test_annotations_resolve_under_type_checking():
+    # specs loads prng and rotation lazily; the names its annotations use come
+    # from a TYPE_CHECKING block, which type checkers and doc tools enter
+    code = ("import importlib, typing\n"
+            "from aprng import prng, rotation, specs\n"
+            "typing.TYPE_CHECKING = True\n"
+            "specs = importlib.reload(specs)\n"
+            "for name in specs.__all__:\n"
+            "    obj = getattr(specs, name)\n"
+            "    typing.get_type_hints(obj)\n"
+            "    if isinstance(obj, type):\n"
+            "        typing.get_type_hints(obj.build)\n"
+            "hints = typing.get_type_hints(specs.RotationSpec)\n"
+            "assert hints['alpha'] is rotation.QuadraticIrrational\n"
+            "assert typing.get_type_hints(specs.LcgSpec.build)['return'] is prng.Lcg\n"
+            "assert typing.get_type_hints(specs.ShuffleSpec.build)['return'] \\\n"
+            "    is prng.ShuffledPrng\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
 
 
 SKIP_WORDS = ["fib", "trib", "rot:(3-1*sqrt(5))/2:(0)/1", "ar:cycle:012",
