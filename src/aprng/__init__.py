@@ -21,7 +21,7 @@ _HOMES = {
     "morphic": (
         "FIBONACCI", "THUE_MORSE", "TRIBONACCI", "FixedPointStream",
         "InterleavedStream", "MergedStream", "Morphism", "fibonacci_stream",
-        "iterate_fixed_point", "naive_stream", "tribonacci_stream",
+        "iterate_fixed_point", "naive_stream",
     ),
     "arnoux_rauzy": ("ArnouxRauzyStream", "iterated_palindromic_closure",
                      "palindromic_closure"),

@@ -204,8 +204,7 @@ def _add_gen_arguments(sub, shuffle: bool) -> None:
                      help="override every source seed")
     sub.add_argument("--warmup", type=_num, default=DEFAULT_WARMUP,
                      help="outputs to skip before use (default 1e9; 0 disables); "
-                     "O(log n), but n/4095 levels, at most 2^18, for a "
-                     "polynomially growing fixed point such as 0->01,1->1")
+                     "O(log n)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,6 +22,11 @@ one bisect over a cumulative table of exact image lengths, which has at most
 block_cap entries, plus d^2 adds that turn the block's prefix letter counts
 into the Parikh vector of the skipped subtrees.  The tables are built lazily
 and shared by every stream of the same fixed point.
+
+Only recurrent fixed points are streamed: the seed letter a must occur again
+after position 0.  Then phi(a) = a.w, and a letter of w leads back to a, so
+phi(a) holds two letters of a's strongly connected component: |phi^L(a)|
+grows exponentially, and position n lies O(log n) levels down.
 """
 from __future__ import annotations
 
@@ -37,12 +42,6 @@ from .streams import WordStream
 from .words import _alphabet_size, as_word, word_to_text
 
 DEFAULT_BLOCK_CAP = 4096
-
-# Largest number of expansion levels random access builds.  A fixed point
-# whose images grow exponentially needs O(log position) of them, but one
-# that grows polynomially needs many more: psi = phi^4095 of 0->01,1->1
-# adds 4095 letters per level, so position 1e9 lies 244,200 levels down.
-_MAX_LEVELS = 1 << 18
 
 # Fewest whole blocks of a level-1 frame that _produce copies in one call;
 # shorter runs go through the leaf cursor one block at a time.
@@ -163,11 +162,13 @@ class _Expansion:
     """
 
     def __init__(self, phi: Morphism, seed: int, block_cap: int):
+        if seed not in phi.recurrent_letters(seed):
+            raise ParameterError(
+                f"letter {seed} occurs only once in the fixed point of "
+                f"{phi.to_text()}: the word is not recurrent")
         d = phi.alphabet_size
         self.power, self.blocks = _choose_power(phi, block_cap)
         self.views = [np.frombuffer(b, dtype=np.uint8) for b in self.blocks]
-        # psi(c) = c: then psi^L(c) = c at every level L
-        self.fixed = [b == bytes([c]) for c, b in enumerate(self.blocks)]
         self.seed = seed
         self.counts = []
         for w in self.blocks:
@@ -218,15 +219,11 @@ class _Expansion:
         down to level 1, and leaf is the [block view, offset] cursor at pos.
         When ``counts`` is given, the Parikh vector of the first pos letters
         is added to it.  Each level costs one bisect over at most block_cap
-        table entries plus d^2 adds; past _MAX_LEVELS levels it raises
-        ParameterError.
+        table entries plus d^2 adds.
         """
         level = 1
         while self.level(level + 1)[0][self.seed] <= pos:
             level += 1
-            if level >= _MAX_LEVELS:
-                raise ParameterError(f"position {pos} lies more than {_MAX_LEVELS} "
-                                     "levels deep in a slowly growing fixed point")
         frames = []
         c = self.seed
         while True:
@@ -252,7 +249,7 @@ def _expansion(phi: Morphism, seed: int, block_cap: int) -> _Expansion:
 
 
 class FixedPointStream(WordStream):
-    """Streaming fixed point of a prolongable morphism.
+    """Streaming fixed point of a prolongable morphism whose seed recurs.
 
     ``block_cap`` bounds the byte size of the precomputed psi = phi^k images;
     the constructor picks the largest such k.  Forcing ``block_cap`` to
@@ -267,8 +264,6 @@ class FixedPointStream(WordStream):
             raise AlphabetError(
                 f"seed letter {seed} outside alphabet of "
                 f"{morphism.alphabet_size} letters")
-        if not morphism.is_prolongable(seed):
-            raise ValueError(f"morphism is not prolongable on letter {seed}")
         if block_cap < max(len(im) for im in morphism.images):
             raise ValueError(
                 f"block_cap {block_cap} below the largest single image; no power fits")
@@ -278,7 +273,6 @@ class FixedPointStream(WordStream):
         self._x = _expansion(morphism, seed, block_cap)
         self.power = self._x.power
         self._blocks, self._views = self._x.blocks, self._x.views
-        self._fixed = self._x.fixed
         # whether a level-1 frame can hold _BULK_BLOCKS blocks at all
         self._bulk = max(map(len, self._blocks)) >= _BULK_BLOCKS
         self.max_stack_depth = 0
@@ -290,10 +284,7 @@ class FixedPointStream(WordStream):
     # A frame [word, idx, level] stands for the unemitted remainder of
     # psi^level(word): each letter word[idx:] still expands through `level`
     # applications of psi.  Frames with level 1 hand their letters' blocks
-    # straight to the leaf cursor, and so does a letter c with psi(c) = c at
-    # any level: without that, a polynomially growing fixed point such as
-    # 0->01,1->1, made mostly of such letters, would cost one frame per level
-    # per letter.  The bottom frame is the root psi(seed).
+    # straight to the leaf cursor.  The bottom frame is the root psi(seed).
 
     def _advance_leaf(self) -> None:
         """Refill the leaf cursor from the stack.  The root is never popped:
@@ -311,7 +302,7 @@ class FixedPointStream(WordStream):
                 continue
             frame[1] = idx + 1
             c = word[idx]
-            if level == 1 or self._fixed[c]:
+            if level == 1:
                 self._leaf = [self._views[c], 0]
                 return
             stack.append([self._blocks[c], 0, level - 1])
@@ -472,7 +463,3 @@ THUE_MORSE = Morphism(["01", "10"])
 
 def fibonacci_stream() -> FixedPointStream:
     return FixedPointStream(FIBONACCI, 0)
-
-
-def tribonacci_stream() -> FixedPointStream:
-    return FixedPointStream(TRIBONACCI, 0)

@@ -83,10 +83,6 @@ def _pseudo_mersenne(m: int, a: int, c: int) -> tuple[int, int] | None:
     return None
 
 
-def _fresh(size: int) -> np.ndarray:
-    return np.empty(size, dtype=np.uint64)
-
-
 class Lcg:
     """Z_{n+1} = (a*Z_n + c) mod m with 32-bit output Z >> shift."""
 
@@ -104,7 +100,7 @@ class Lcg:
         self.shift = max(0, (m - 1).bit_length() - 32)
         self._pow2 = m & (m - 1) == 0
         self._fold = None if self._pow2 else _pseudo_mersenne(m, a, c)
-        self._buffer = _fresh(0)
+        self._buffer = np.empty(0, dtype=np.uint64)
 
     @property
     def out_range(self) -> int:
@@ -117,39 +113,40 @@ class Lcg:
 
     def outputs(self, n: int) -> np.ndarray:
         """Next n outputs as uint32, in a fresh array."""
-        if n < 0:
-            raise ParameterError("n must be >= 0")
-        out = np.empty(n, dtype=np.uint32)
-        shift = np.uint64(self.shift)
-        for lo in range(0, n, _CHUNK):
-            states = self._states(min(_CHUNK, n - lo), self._scratch)
-            np.right_shift(states, shift, out=out[lo:lo + states.size],
-                           casting="unsafe")
-        return out
+        return self._values(n, np.uint32, self.shift)
 
     def raw_states(self, n: int) -> np.ndarray:
         """Next n full states as uint64, before the output shift, in a
         fresh array."""
+        return self._values(n, np.uint64, 0)
+
+    def _values(self, n: int, dtype, shift: int) -> np.ndarray:
+        """Next n states shifted right by shift, in a fresh array of dtype,
+        stepped at most _CHUNK at a time through the scratch buffer."""
         if n < 0:
             raise ParameterError("n must be >= 0")
-        return self._states(n, _fresh)
+        out = np.empty(n, dtype=dtype)
+        shift = np.uint64(shift)
+        for lo in range(0, n, _CHUNK):
+            states = self._states(min(_CHUNK, n - lo))
+            np.right_shift(states, shift, out=out[lo:lo + states.size],
+                           casting="unsafe")
+        return out
 
     def _scratch(self, size: int) -> np.ndarray:
         """size uint64 cells of this instance's private buffer, which every
-        call to outputs overwrites."""
+        call to outputs or raw_states overwrites."""
         if self._buffer.size < size:
             self._buffer = np.empty(size, dtype=np.uint64)
         return self._buffer[:size]
 
-    def _states(self, n: int, buffer) -> np.ndarray:
-        """Next n states, stepped in place into buffer(size) uint64 cells."""
-        if n == 0:
-            return buffer(0)
+    def _states(self, n: int) -> np.ndarray:
+        """Next n >= 1 states, stepped in place into the scratch buffer."""
         if self._pow2:
-            return self._states_pow2(n, buffer)
+            return self._states_pow2(n)
         if self._fold:
-            return self._states_fold(n, buffer)
-        out = buffer(n)
+            return self._states_fold(n)
+        out = self._scratch(n)
         x, a, c, m = self.state, self.a, self.c, self.m
         for i in range(n):
             x = (a * x + c) % m
@@ -157,14 +154,14 @@ class Lcg:
         self.state = x
         return out
 
-    def _states_pow2(self, n: int, buffer) -> np.ndarray:
+    def _states_pow2(self, n: int) -> np.ndarray:
         # lane j holds Z_{t*K + j + 1}; one vector op advances all lanes K
         # steps.  Products wrap mod 2^64, so the mask is needed below 2^64 only.
         mask = np.uint64(self.m - 1) if self.m < 1 << 64 else None
         powers, sums = _lane_tables(self.m, self.a, self.c)
         K = min(n, _LANES)
         steps = -(-n // K)
-        states = buffer(steps * K).reshape(steps, K)
+        states = self._scratch(steps * K).reshape(steps, K)
         lanes = states[0]
         np.multiply(powers[:K], np.uint64(self.state), out=lanes)
         lanes += sums[:K]                               # Z_{j+1}
@@ -183,7 +180,7 @@ class Lcg:
         self.state = int(flat[-1])
         return flat
 
-    def _states_fold(self, n: int, buffer) -> np.ndarray:
+    def _states_fold(self, n: int) -> np.ndarray:
         # lane j holds Z_{j*S + t + 1} at step t: each lane starts from a
         # Python-int jump and steps by a itself, whose size bounds the fold
         m, a, c = self.m, self.a, self.c
@@ -195,7 +192,7 @@ class Lcg:
         starts = [(a * self.state + c) % m]
         for _ in range(K - 1):
             starts.append((A * starts[-1] + C) % m)
-        states = buffer(K * S).reshape(K, S)
+        states = self._scratch(K * S).reshape(K, S)
         lanes = np.array(starts, dtype=np.uint64)
         states[:, 0] = lanes
         u = np.uint64
@@ -232,8 +229,7 @@ class Lcg:
         self.jump(n)
 
     def fork(self) -> "Lcg":
-        g = Lcg(self.m, self.a, self.c, self.state)
-        return g
+        return Lcg(self.m, self.a, self.c, self.state)
 
     def __repr__(self):
         return f"Lcg(m={self.m}, a={self.a}, c={self.c}, state={self.state})"

@@ -12,9 +12,9 @@ import numpy as np
 from aprng.arnoux_rauzy import ArnouxRauzyStream, palindromic_closure
 from aprng.cli import main
 from aprng.lattice import consecutive_tuples, plane_count, search_normals
-from aprng.morphic import (FIBONACCI, Morphism, THUE_MORSE, FixedPointStream,
-                           fibonacci_stream, iterate_fixed_point, naive_stream,
-                           tribonacci_stream)
+from aprng.morphic import (FIBONACCI, Morphism, THUE_MORSE, TRIBONACCI,
+                           FixedPointStream, fibonacci_stream,
+                           iterate_fixed_point, naive_stream)
 from aprng.prng import ShuffledPrng, named_lcg
 from aprng.rotation import fibonacci_rotation
 from aprng.specs import parse_morphism_rules
@@ -151,7 +151,7 @@ def test_criterion_07_sturmian_ar_welldoc_coverage(capsys):
             assert rep.verdict == COVERED, (m, factor)
         checked += len(reports)
     for m in (2, 3):
-        reports = welldoc_scan(tribonacci_stream(), m, 4, 10 ** 7)
+        reports = welldoc_scan(FixedPointStream(TRIBONACCI, 0), m, 4, 10 ** 7)
         assert len(reports) == 24          # AR complexity: 2n+1 factors
         for factor, rep in reports.items():
             assert rep.verdict == COVERED, (m, factor)

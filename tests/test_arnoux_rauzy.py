@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 from aprng import arnoux_rauzy
 from aprng.arnoux_rauzy import (ArnouxRauzyStream, iterated_palindromic_closure,
                                 palindromic_closure)
-from aprng.errors import DirectiveError
-from aprng.morphic import (FixedPointStream, Morphism, fibonacci_stream,
-                           iterate_fixed_point, tribonacci_stream)
+from aprng.errors import DirectiveError, ParameterError
+from aprng.morphic import (TRIBONACCI, FixedPointStream, Morphism,
+                           fibonacci_stream, iterate_fixed_point)
 from aprng.specs import parse_morphism_rules
 from aprng.streams import CycleStream
 from aprng.words import as_word, parikh
@@ -60,7 +61,7 @@ def test_iterated_closure_builds_fibonacci_prefixes():
 
 def test_iterated_closure_builds_tribonacci_prefixes():
     w = iterated_palindromic_closure([0, 1, 2] * 5)
-    assert bytes(tribonacci_stream().take(len(w))) == w
+    assert bytes(FixedPointStream(TRIBONACCI, 0).take(len(w))) == w
 
 
 def test_bispecial_prefixes_match_closure_oracle():
@@ -86,7 +87,8 @@ def test_ar_stream_fibonacci_and_tribonacci():
     s = ArnouxRauzyStream(CycleStream(bytes([0, 1])))
     assert bytes(s.take(10000)) == bytes(fibonacci_stream().take(10000))
     t = ArnouxRauzyStream(CycleStream(bytes([0, 1, 2])))
-    assert bytes(t.take(10000)) == bytes(tribonacci_stream().take(10000))
+    trib = FixedPointStream(TRIBONACCI, 0)
+    assert bytes(t.take(10000)) == bytes(trib.take(10000))
 
 
 def test_ar_stream_seek_and_fork():
@@ -152,6 +154,14 @@ def test_recurrent_letters_of_fixed_points(rules, recurrent):
 
 @pytest.mark.parametrize("rules", ["0->01,1->1", "0->01,1->2,2->1"])
 def test_fixed_point_directive_missing_a_letter_is_rejected(rules):
+    # letter 0 occurs only once, so the directive stream itself is refused
+    with pytest.raises(ParameterError, match="not recurrent"):
+        FixedPointStream(Morphism(parse_morphism_rules(rules)), 0)
+
+
+@pytest.mark.parametrize("rules", ["0->01,1->0,2->2", "0->02,1->1,2->0"])
+def test_recurrent_directive_missing_a_letter_is_rejected(rules):
+    # in a recurrent fixed point a letter occurs infinitely often or never
     directive = FixedPointStream(Morphism(parse_morphism_rules(rules)), 0)
     with pytest.raises(DirectiveError, match="finitely often"):
         ArnouxRauzyStream(directive)
@@ -209,3 +219,34 @@ def test_far_access_around_the_materialized_head(pattern, cap, monkeypatch):
             == (letter, follow, before), pos
     for w in words:
         assert s.prefix_parikh(len(w)) == parikh(w, d)
+
+
+# -- ar:cycle:delta is the fixed point of an episturmian morphism ----------
+
+def episturmian_morphism(delta: bytes, d: int) -> Morphism:
+    """phi_delta = mu_{delta_1} o ... o mu_{delta_k}, where mu_a fixes a and
+    maps every other letter b to ab (Justin & Pirillo, TCS 276, 2002)."""
+    images = [bytes([b]) for b in range(d)]
+    for a in delta:                             # phi <- phi o mu_a
+        phi = Morphism(images)
+        images = [phi.apply(bytes([a, b]) if b != a else bytes([a]))
+                  for b in range(d)]
+    return Morphism(images)
+
+
+def test_cycle_directive_word_is_an_episturmian_fixed_point():
+    # every pattern over 2, 3 or 4 letters of length <= 4 that uses each letter
+    patterns = [bytes(p) for d in (2, 3, 4) for k in range(d, 5)
+                for p in itertools.product(range(d), repeat=k)
+                if len(set(p)) == d]
+    assert len(patterns) == 88
+    assert episturmian_morphism(b"\x00\x01", 2).images == (b"\x00\x01\x00",
+                                                            b"\x00\x01")
+    for delta in patterns:
+        ar = ArnouxRauzyStream(CycleStream(delta))
+        fixed = FixedPointStream(episturmian_morphism(delta, len(set(delta))),
+                                 delta[0])
+        assert bytes(ar.take(20_000)) == bytes(fixed.take(20_000)), delta
+        for pos in (10 ** 6, 10 ** 9 + 7, 10 ** 15):
+            assert ar.letter_at(pos) == fixed.letter_at(pos), (delta, pos)
+            assert ar.prefix_parikh(pos) == fixed.prefix_parikh(pos), (delta, pos)

@@ -9,7 +9,7 @@ import pytest
 
 from aprng.cli import main
 from aprng.lattice import consecutive_tuples
-from aprng.morphic import fibonacci_stream, tribonacci_stream
+from aprng.morphic import TRIBONACCI, FixedPointStream, fibonacci_stream
 from aprng.prng import ShuffledPrng, named_lcg, stream_export
 
 FIB32 = "01001010010010100101001001010010"
@@ -30,7 +30,7 @@ def test_word_fib_prefix(capsys):
 def test_word_text_and_raw_files(tmp_path):
     txt = tmp_path / "w.txt"
     assert main(["word", "trib", "--count", "20", "--out", str(txt)]) == 0
-    expect = bytes(tribonacci_stream().take(20))
+    expect = bytes(FixedPointStream(TRIBONACCI, 0).take(20))
     assert txt.read_text() == "".join(str(b) for b in expect) + "\n"
     raw = tmp_path / "w.bin"
     assert main(["word", "trib", "--count", "20", "--raw", "--out", str(raw)]) == 0
@@ -441,13 +441,47 @@ def test_long_periodic_ar_directive_is_accepted(capsys):
 
 
 def test_periodic_ar_directive_is_rejected(capsys):
-    # 0->01,1->1 stops producing letter 0: the word would be 0101...
+    # 0->01,1->1 stops producing letter 0: the word would be 0101...; its
+    # fixed point 0 1^oo is refused before it can direct anything
     rc, out, err = run(capsys, "word", "ar:morphic:0->01,1->1:0",
+                       "--count", "60")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "not recurrent" in err
+    # a recurrent directive that never produces letter 2
+    rc, out, err = run(capsys, "word", "ar:morphic:0->01,1->0,2->2:0",
                        "--count", "60")
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and "finitely often" in err
     rc, out, _ = run(capsys, "word", "ar:morphic:0->01,1->0:0", "--count", "8")
     assert rc == 0 and out == "01001001\n"
+
+
+@pytest.mark.parametrize("rules", ["0->01,1->1", "0->012,1->12,2->2",
+                                   "0->01,1->11"])
+def test_seed_that_occurs_once_is_refused(capsys, rules):
+    rc, out, err = run(capsys, "word", f"morphism:{rules}", "--count", "8")
+    assert rc == 2 and out == ""
+    assert err == (f"error: letter 0 occurs only once in the fixed point of "
+                   f"{rules}: the word is not recurrent\n")
+
+
+def test_shuffle_steered_by_a_seed_that_occurs_once_is_refused():
+    # refused when the spec is built, before the default 1e9 warm-up
+    out = subprocess.run(
+        [sys.executable, "-m", "aprng.cli", "shuffle", "morphism:0->01,1->1",
+         "randu,randu", "--count", "2"],
+        capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("error: ") and "not recurrent" in out.stderr
+
+
+@pytest.mark.parametrize("rules,prefix", [
+    ("0->010,1->1", "0101010101"), ("0->001,1->1", "0010011001"),
+    ("0->012,1->1,2->20", "0121201200")])
+def test_recurrent_seed_with_a_fixed_letter_is_accepted(capsys, rules, prefix):
+    rc, out, err = run(capsys, "word", f"morphism:{rules}", "--count", "10")
+    assert rc == 0 and err == "" and out == prefix + "\n"
 
 
 def test_nested_shuffle_runs_under_default_warmup(capsysbinary):

@@ -7,33 +7,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aprng import morphic
 from aprng.errors import AlphabetError, ParameterError
 from aprng.morphic import (FIBONACCI, THUE_MORSE, TRIBONACCI, FixedPointStream,
                            InterleavedStream, MergedStream, Morphism,
-                           fibonacci_stream, iterate_fixed_point, naive_stream,
-                           tribonacci_stream)
+                           fibonacci_stream, iterate_fixed_point, naive_stream)
 from aprng.specs import parse_morphism_rules
 
 FIB_PREFIX = "01001010010010100101001001010010"
 
 
-def random_prolongable(rng, d_max=4):
-    while True:
-        d = rng.randint(1, d_max)
-        images = []
-        for a in range(d):
-            length = rng.randint(1, 4)
-            images.append([rng.randrange(d) for _ in range(length)])
-        images[0] = [0] + images[0][:3] if images[0][:1] != [0] else images[0]
-        if len(images[0]) < 2:
-            images[0] = [0, rng.randrange(d)]
-        try:
-            phi = Morphism(images)
-        except (AlphabetError, ValueError):
-            continue
-        if phi.is_prolongable(0):
-            return phi
+@st.composite
+def prolongable(draw):
+    """A morphism on d <= 4 letters with images of at most 4 letters, and a
+    letter it is prolongable on."""
+    d = draw(st.integers(1, 4))
+    images = [draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=4))
+              for _ in range(d)]
+    seed = draw(st.integers(0, d - 1))
+    images[seed] = [seed] + images[seed][:3]
+    return Morphism(images), seed
+
+
+def recurs(case):
+    phi, seed = case
+    return seed in phi.recurrent_letters(seed)
 
 
 def test_morphism_validation():
@@ -100,13 +97,12 @@ def test_block_stream_equals_naive_small():
         assert bytes(fast.take(5000)) == bytes(slow.take(5000))
 
 
-@given(st.integers(0, 10 ** 6))
+@given(prolongable().filter(recurs))
 @settings(max_examples=25, deadline=None)
-def test_block_stream_equals_naive_random(seed):
-    rng = random.Random(seed)
-    phi = random_prolongable(rng)
-    fast = FixedPointStream(phi, 0)
-    slow = naive_stream(phi, 0)
+def test_block_stream_equals_naive_random(case):
+    phi, seed = case
+    fast = FixedPointStream(phi, seed)
+    slow = naive_stream(phi, seed)
     assert bytes(fast.take(2000)) == bytes(slow.take(2000))
 
 
@@ -115,6 +111,22 @@ def test_non_prolongable_seed_rejected():
         FixedPointStream(FIBONACCI, 1)
     with pytest.raises((ParameterError, ValueError)):
         FixedPointStream(Morphism(["10", "0"]), 0)
+
+
+@given(prolongable())
+@settings(max_examples=300, deadline=None)
+def test_stream_refuses_exactly_the_seeds_that_occur_once(case):
+    # a shortest path from a letter of phi(s)[1:] back to s has at most
+    # d - 1 steps, so s recurs iff it occurs twice in phi^d(s)
+    phi, s = case
+    w = bytes([s])
+    for _ in range(phi.alphabet_size):
+        w = phi.apply(w)
+    if w.count(s) == 1:
+        with pytest.raises(ParameterError, match="not recurrent"):
+            FixedPointStream(phi, s)
+    else:
+        FixedPointStream(phi, s)
 
 
 def test_letter_at_matches_sequential():
@@ -128,26 +140,10 @@ def test_letter_at_matches_sequential():
     assert bytes(fresh.take(10)) == ref[10:20]
 
 
-def test_random_access_refuses_positions_past_the_level_bound(monkeypatch):
-    monkeypatch.setattr(morphic, "_MAX_LEVELS", 8)
-    s = FixedPointStream(Morphism(["01", "1"]), 0)      # 0 1 1 1 ...
-    refused = 1 + s.power * 8   # |psi^8(0)|: the first position 8 levels down
-    assert s.letter_at(refused - 1) == 1
-    assert s.prefix_parikh(refused - 1) == (1, refused - 2)
-    for far in (refused, 10 ** 9):
-        with pytest.raises(ParameterError, match=f"position {far} "):
-            s.fork().letter_at(far)
-        with pytest.raises(ParameterError, match=f"position {far} "):
-            s.prefix_parikh(far)
-    # sequential reading builds no level tables, so it is not refused
-    fresh = FixedPointStream(Morphism(["01", "1"]), 0)
-    assert bytes(fresh.take(refused + 5000)) == b"\0" + b"\1" * (refused + 4999)
-
-
 def test_prefix_parikh_exact():
-    s = tribonacci_stream()
+    s = FixedPointStream(TRIBONACCI, 0)
     ref = np.frombuffer(bytes(s.take(30000)), dtype=np.uint8)
-    fresh = tribonacci_stream()
+    fresh = FixedPointStream(TRIBONACCI, 0)
     for n in [0, 1, 2, 13, 927, 29999, 30000]:
         expect = tuple(int(c) for c in np.bincount(ref[:n], minlength=3))
         assert fresh.prefix_parikh(n) == expect
@@ -170,21 +166,21 @@ def test_block_cap_changes_nothing():
 
 
 def test_merge_projects_letters():
-    s = MergedStream(tribonacci_stream(), (0, 1, 0))
-    t = tribonacci_stream()
+    s = MergedStream(FixedPointStream(TRIBONACCI, 0), (0, 1, 0))
+    t = FixedPointStream(TRIBONACCI, 0)
     ref = bytes(t.take(1000))
     assert bytes(s.take(1000)) == bytes((0, 1, 0)[a] for a in ref)
     assert s.alphabet_size == 2
     with pytest.raises(AlphabetError):
-        MergedStream(tribonacci_stream(), (0, 2, 0))
+        MergedStream(FixedPointStream(TRIBONACCI, 0), (0, 2, 0))
     with pytest.raises(AlphabetError):
-        MergedStream(tribonacci_stream(), (0, 1))
+        MergedStream(FixedPointStream(TRIBONACCI, 0), (0, 1))
 
 
 def test_merge_prefix_parikh():
-    s = MergedStream(tribonacci_stream(), (0, 1, 0))
+    s = MergedStream(FixedPointStream(TRIBONACCI, 0), (0, 1, 0))
     ref = bytes(s.take(5000))
-    fresh = MergedStream(tribonacci_stream(), (0, 1, 0))
+    fresh = MergedStream(FixedPointStream(TRIBONACCI, 0), (0, 1, 0))
     assert fresh.prefix_parikh(3777) == (ref[:3777].count(0), ref[:3777].count(1))
 
 
@@ -215,26 +211,6 @@ def test_stack_depth_tracked():
     assert s.max_stack_depth >= 1
 
 
-def test_letter_fixed_by_psi_pushes_no_frame():
-    # 0 1^n: every 1 after the first block lies ever deeper in the tree, yet
-    # psi(1) = 1 hands it to the leaf from whatever level it stands on
-    s = FixedPointStream(Morphism(["01", "1"]), 0)
-    assert bytes(s.take(100000)) == b"\0" + b"\1" * 99999
-    assert s.max_stack_depth == 0
-
-
-@pytest.mark.parametrize("rules", [["01", "1"], ["012", "12", "2"],
-                                   ["01", "21", "2"]])
-@pytest.mark.parametrize("block_cap", [16, 64])
-def test_polynomial_growth_matches_iteration(rules, block_cap):
-    phi = Morphism(rules)
-    want = iterate_fixed_point(phi, 0, 1500)[:1500]
-    s = FixedPointStream(phi, 0, block_cap)
-    assert b"".join(bytes(s.take(k)) for k in (1, 7, 40, 400, 1052)) == want
-    s.seek(321)
-    assert bytes(s.take(1000)) == want[321:1321]
-
-
 # -- bulk emission: runs of whole level-1 blocks leave in one copy --------
 
 BULK_WORDS = {"fib": (FIBONACCI, 0), "trib": (TRIBONACCI, 0),
@@ -242,20 +218,15 @@ BULK_WORDS = {"fib": (FIBONACCI, 0), "trib": (TRIBONACCI, 0),
               # the root frame's letter is the seed
               "seed1": (Morphism(["1", "10"]), 1),
               "001": (Morphism(["001", "01"]), 0),
-              "psi_fixed": (Morphism(["01", "1"]), 0),    # psi(1) = 1
-              # psi(1) = 1 leaves a frame above level 1 on top of the stack
+              # psi(1) = 1 pushes a chain of one-letter frames down to level 1
               "mixed": (Morphism(["012", "1", "20"]), 0)}
 BULK_LEN = 150_000
 
 
 @pytest.fixture(scope="module")
 def bulk_prefixes():
-    prefixes = {}
-    for name, (phi, seed) in BULK_WORDS.items():
-        # 0->01,1->1 grows by one letter per iteration: its word is 0 1^oo
-        n = 3000 if name == "psi_fixed" else BULK_LEN
-        prefixes[name] = iterate_fixed_point(phi, seed, n)[:n]
-    return prefixes
+    return {name: iterate_fixed_point(phi, seed, BULK_LEN)[:BULK_LEN]
+            for name, (phi, seed) in BULK_WORDS.items()}
 
 
 def level1_frame_ends(s, u):

@@ -115,21 +115,23 @@ def test_outputs_resume_mid_stream():
 
 
 # randu (2^31, no shift), l59 (a mask short of 64 bits), l64_28 (no mask),
-# and the two pseudo-Mersenne lane paths
-BUFFERED = ["randu", "l59", "l64_28", "l63-25", "l47-115"]
+# the two pseudo-Mersenne lane paths, and a modulus of the Python-int loop
+BUFFERED = {**{name: NAMED_LCGS[name]
+               for name in ["randu", "l59", "l64_28", "l63-25", "l47-115"]},
+            "loop": (10 ** 6 + 3, 1234, 5)}
 
 
 @pytest.mark.parametrize("name", BUFFERED)
 def test_buffered_paths_match_loop_over_successive_calls(name):
     K, B = prng._LANES, prng._CHUNK
     lengths = [0, 1, K - 1, K, K + 1, B - 1, B + 1, 3 * B + 5]
-    g = named_lcg(name, seed=12345)
-    m, a, c = NAMED_LCGS[name]
+    m, a, c = BUFFERED[name]
+    g = Lcg(m, a, c, 12345)
     want = np.array(py_states(m, a, c, 12345, sum(lengths)), dtype=np.uint64)
     assert g.outputs(0).size == 0 and g.state == 12345
     off = 0
     for i, n in enumerate(lengths):
-        # alternate the fresh path (raw_states) and the scratch one (outputs)
+        # alternate the two dtypes of the one value loop
         if i % 2 == 0:
             got = g.raw_states(n)
             assert got.dtype == np.uint64
@@ -186,7 +188,7 @@ def test_geometric_sum_matches_brute_sum(m):
 
 @pytest.mark.parametrize("name", BUFFERED)
 def test_returned_arrays_do_not_alias_scratch(name):
-    g = named_lcg(name, seed=3)
+    g = Lcg(*BUFFERED[name], 3)
     first = g.outputs(5000)
     kept = first.copy()
     states = g.raw_states(5000)
@@ -201,7 +203,7 @@ def test_returned_arrays_do_not_alias_scratch(name):
 
 @pytest.mark.parametrize("name", BUFFERED)
 def test_fork_shares_no_buffer(name):
-    g = named_lcg(name, seed=5)
+    g = Lcg(*BUFFERED[name], 5)
     g.outputs(5000)
     h = g.fork()
     want = h.fork().outputs(3000)

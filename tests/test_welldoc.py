@@ -4,8 +4,8 @@ import pytest
 
 from aprng import welldoc
 from aprng.errors import ParameterError
-from aprng.morphic import (THUE_MORSE, FixedPointStream, Morphism,
-                           fibonacci_stream, tribonacci_stream)
+from aprng.morphic import (THUE_MORSE, TRIBONACCI, FixedPointStream, Morphism,
+                           fibonacci_stream)
 from aprng.specs import parse_morphism_rules
 from aprng.streams import CycleStream
 from aprng.welldoc import (COVERED, UNDETERMINED, WelldocQuery, welldoc_check,
@@ -14,6 +14,10 @@ from aprng.welldoc import (COVERED, UNDETERMINED, WelldocQuery, welldoc_check,
 
 def thue_morse_stream():
     return FixedPointStream(THUE_MORSE, 0)
+
+
+def tribonacci_stream():
+    return FixedPointStream(TRIBONACCI, 0)
 
 
 def naive_vectors(u: bytes, factor: bytes, m: int, d: int):
