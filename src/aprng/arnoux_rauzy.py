@@ -14,7 +14,8 @@ word by resuffixing itself, which is what the stream implementation uses:
 
 Each step at least roughly doubles the known prefix, so reaching position N
 takes O(log N) steps; only a bounded head of the word is materialized, in
-one array the recurrence fills in place, and deeper letters are resolved by
+one array of 1 Mi letters (small enough to stay in a 2 MiB L2 cache) that
+the recurrence fills in place, and deeper letters are resolved by
 mapping intervals back through the recurrence.  A prefix Parikh vector never
 reads letters: the same walk, down to b_0 = epsilon, costs d adds per step.
 """
@@ -28,7 +29,7 @@ from .streams import CycleStream, WordStream
 from .words import as_word
 
 DIRECTIVE_CHECK_HORIZON = 1000
-_HEAD_CAP = 1 << 22         # letters a stream keeps materialized at most
+_HEAD_CAP = 1 << 20         # letters a stream keeps materialized at most
 
 
 def _longest_palindromic_suffix_start(v: bytes) -> int:

@@ -11,7 +11,7 @@ class DirectiveError(ValueError):
 
 
 class FieldMismatchError(ValueError):
-    """Exact comparison of quadratic numbers over different square roots."""
+    """A rotation slope and intercept over different square roots."""
 
 
 class ParameterError(ValueError):

@@ -1,20 +1,20 @@
 """Sturmian words as exact rotation codings.
 
-Numbers of the form (p + q*sqrt(D))/r are kept in canonical integer form,
-compared exactly by isolating the root and squaring with tracked signs, and
-floored exactly with integer square roots, so letter decisions never touch
-floating point.  The coding of the rotation by alpha with intercept rho
-writes letter 0 when the orbit point {rho + n*alpha} falls in the long
-interval of length 1-alpha and letter 1 otherwise; the two half-open
-conventions differ only when an orbit point hits the split exactly.  Letter
-n is the step floor(rho + (n+1)*alpha) - floor(rho + n*alpha), with ceilings
-for the right convention.  Streams produce letters from a 64-bit fixed-point
-phase whose error is bounded per block; the few positions inside that bound
-of a decision point are settled by that exact floor rule.
+The coding of the rotation by alpha with intercept rho writes letter 0 when
+the orbit point {rho + n*alpha} falls in the long interval of length
+1-alpha and letter 1 otherwise; the two half-open conventions differ only
+when an orbit point hits the split exactly.  Letter n is the step
+floor(rho + (n+1)*alpha) - floor(rho + n*alpha), with ceilings for the
+right convention.  Slope and intercept are quadratic irrationals
+(p + q*sqrt(D))/r, held as exact values in canonical integer form; every
+floor of rho + n*alpha, scaled or not, is taken over integers with an
+integer square root, so letter decisions never touch floating point.
+Streams produce letters from a 64-bit fixed-point phase whose error is
+bounded per block; the few positions inside that bound of a decision point
+are settled by that exact floor rule.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd, isqrt
 
@@ -25,6 +25,17 @@ import numpy as np
 
 _ONE = 1 << 64          # fixed-point scale of the phase
 _BLOCK = 1 << 16        # letters per exactly computed block base
+
+
+def _floor_surd(a: int, b: int, D: int, r: int) -> int:
+    """floor((a + b*sqrt(D)) / r), exactly, for D >= 0 and r > 0."""
+    t = b * b * D
+    root = isqrt(t)
+    if b < 0:
+        root = -root - (root * root != t)
+    # root = floor(b*sqrt(D)), and floor(z / r) = floor(floor(z) / r)
+    # for every real z and integer r > 0
+    return (a + root) // r
 
 
 @lru_cache
@@ -72,128 +83,25 @@ class QuadraticIrrational:
         self.r = r // g
         self.D = D0
 
-    @classmethod
-    def from_rational(cls, x) -> "QuadraticIrrational":
-        f = Fraction(x)
-        return cls(f.numerator, 0, f.denominator, 1)
-
     def is_rational(self) -> bool:
         return self.q == 0
 
-    # -- arithmetic ------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, QuadraticIrrational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadraticIrrational.from_rational(other)
-        return None
-
-    def _common_field(self, other: "QuadraticIrrational") -> int:
-        if self.q and other.q and self.D != other.D:
-            raise FieldMismatchError(
-                f"cannot combine sqrt({self.D}) with sqrt({other.D}) exactly")
-        return self.D if self.q else other.D
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        D = self._common_field(o)
-        return QuadraticIrrational(
-            self.p * o.r + o.p * self.r,
-            self.q * o.r + o.q * self.r,
-            self.r * o.r, D)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadraticIrrational(-self.p, -self.q, self.r, self.D)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, QuadraticIrrational):
-            D = self._common_field(other)
-            return QuadraticIrrational(
-                self.p * other.p + self.q * other.q * D,
-                self.p * other.q + self.q * other.p,
-                self.r * other.r, D)
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return QuadraticIrrational(
-                self.p * f.numerator, self.q * f.numerator,
-                self.r * f.denominator, self.D)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    # -- exact order -----------------------------------------------------
-
-    def _sign(self) -> int:
-        """Sign of p + q*sqrt(D) (r > 0 already)."""
-        p, q, D = self.p, self.q, self.D
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if q > 0:
-            if p >= 0:
-                return 1
-            return 1 if q * q * D > p * p else (-1 if q * q * D < p * p else 0)
-        if p <= 0:
-            return -1
-        return 1 if p * p > q * q * D else (-1 if p * p < q * q * D else 0)
-
-    def compare(self, other) -> int:
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot compare with {type(other).__name__}")
-        return (self - o)._sign()
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, QuadraticIrrational):
             return NotImplemented
-        return (self.p, self.q, self.r, self.D) == (o.p, o.q, o.r, o.D)
+        return ((self.p, self.q, self.r, self.D)
+                == (other.p, other.q, other.r, other.D))
 
     def __hash__(self):
         return hash((self.p, self.q, self.r, self.D))
 
     def __floor__(self) -> int:
-        p, q, r = self.p, self.q, self.r
-        if q >= 0:
-            root = isqrt(q * q * self.D)
-        else:
-            t = q * q * self.D
-            root = -(isqrt(t) + (0 if isqrt(t) ** 2 == t else 1))
-        # root = floor(q*sqrt(D)), and floor(z / r) = floor(floor(z) / r)
-        # for every real z and integer r > 0, so this floor is exact
-        return (p + root) // r
+        return _floor_surd(self.p, self.q, self.D, self.r)
 
     def frac(self) -> "QuadraticIrrational":
-        """Fractional part, in [0, 1)."""
-        return self - self.__floor__()
+        """x - floor(x), in [0, 1)."""
+        return QuadraticIrrational(self.p - floor(self) * self.r, self.q,
+                                   self.r, self.D)
 
     def __float__(self) -> float:
         return (self.p + self.q * self.D ** 0.5) / self.r
@@ -216,15 +124,24 @@ class RotationCoding:
             raise ValueError(f"convention must be 'left' or 'right', got {convention!r}")
         if alpha.is_rational():
             raise ValueError("slope must be irrational: rational slopes give periodic words")
-        if not (QuadraticIrrational.from_rational(0) < alpha < 1):
+        # an irrational alpha is never 0, so floor 0 means 0 < alpha < 1
+        if floor(alpha) != 0:
             raise ValueError("slope must lie strictly between 0 and 1")
         if not rho.is_rational() and rho.D != alpha.D:
             raise FieldMismatchError(
                 f"intercept over sqrt({rho.D}) and slope over sqrt({alpha.D}) "
                 "cannot be combined exactly")
         self.alpha = alpha
-        self.rho = rho.frac()
+        self.rho = rho = rho.frac()
         self.convention = convention
+        # rho + n*alpha = (a + n*da + (b + n*db) * sqrt(D)) / r
+        self._terms = (rho.p * alpha.r, alpha.p * rho.r, rho.q * alpha.r,
+                       alpha.q * rho.r, alpha.r * rho.r, alpha.D)
+
+    def _floor(self, n: int, scale: int = 1) -> int:
+        """floor(scale * (rho + n*alpha)), exactly."""
+        a, da, b, db, r, D = self._terms
+        return _floor_surd(scale * (a + n * da), scale * (b + n * db), D, r)
 
     def __repr__(self):
         return (f"RotationCoding(alpha={self.alpha!r}, rho={self.rho!r}, "
@@ -238,8 +155,9 @@ def _edge(coding: RotationCoding, n: int) -> int:
     floor(x) + 1.  Right: letter 1 means {x} > 1-alpha or {x} = 0, exactly
     when ceil(x + alpha) = ceil(x) + 1.
     """
-    x = coding.rho + coding.alpha * n
-    return floor(x) if coding.convention == "left" else -floor(-x)
+    if coding.convention == "left":
+        return coding._floor(n)
+    return -coding._floor(n, -1)
 
 
 def rotation_letter(coding: RotationCoding, n: int) -> int:
@@ -263,7 +181,8 @@ class RotationStream(WordStream):
     def __init__(self, coding: RotationCoding):
         super().__init__(2)
         self.coding = coding
-        A = floor(coding.alpha * _ONE)
+        alpha = coding.alpha
+        A = _floor_surd(alpha.p * _ONE, alpha.q * _ONE, alpha.D, alpha.r)
         self._A = np.uint64(A)
         self._T = np.uint64(_ONE - 1 - A)      # letter 1 iff x > T
 
@@ -273,12 +192,12 @@ class RotationStream(WordStream):
             return np.array([rotation_letter(self.coding, self._pos)],
                             dtype=np.uint8)
         out = np.empty(n, dtype=np.uint8)
-        alpha, rho, T = self.coding.alpha, self.coding.rho, self._T
+        T = self._T
         for off in range(0, n, _BLOCK):
             pos = self._pos + off
             i = np.arange(min(_BLOCK, n - off), dtype=np.uint64)
             x = i * self._A
-            x += np.uint64(floor((rho + alpha * pos) * _ONE) % _ONE)
+            x += np.uint64(self.coding._floor(pos, _ONE) % _ONE)
             np.greater(x, T, out=out[off:off + i.size])
             i += np.uint64(1)                   # error band width at i
             unsure = ((T - x) < i) | ((np.uint64(0) - x) < i)

@@ -72,3 +72,21 @@ def test_word_stream_protocol_is_pinned():
     # a stream is a position: seek moves it, and no repositioning hook exists
     assert aprng.WordStream.__abstractmethods__ == {
         "_produce", "fork", "_prefix_parikh"}
+
+
+def test_quadratic_irrational_is_a_value_without_arithmetic():
+    # rotation codings floor integer terms themselves; the number type only
+    # holds, compares and floors a value, so arithmetic shows up here
+    assert sorted(vars(aprng.QuadraticIrrational)) == [
+        "D", "__doc__", "__eq__", "__float__", "__floor__", "__hash__",
+        "__init__", "__module__", "__repr__", "__slots__", "frac",
+        "is_rational", "p", "q", "r"]
+
+
+def test_no_module_imports_fractions():
+    package = pathlib.Path(aprng.__file__).parent
+    importers = sorted(
+        p.name for p in package.glob("*.py")
+        if re.search(r"^\s*(from fractions import|import fractions)",
+                     p.read_text(), re.M))
+    assert importers == []

@@ -62,7 +62,7 @@ def test_long_digit_runs_are_placed_spec_errors():
 def test_quadratic_parse_format():
     golden = QuadraticIrrational(3, -1, 2, 5)
     assert parse_quadratic("(3-1*sqrt(5))/2") == golden
-    assert parse_quadratic("(0)/1") == QuadraticIrrational.from_rational(0)
+    assert parse_quadratic("(0)/1") == QuadraticIrrational(0, 0, 1, 1)
     # non-canonical input lands on the canonical form
     assert parse_quadratic("(6-2*sqrt(5))/4") == golden
     for text in ["sqrt(5)", "(1+sqrt(5))/2", "(1+1*sqrt(5))", "1/2", ""]:
@@ -92,7 +92,7 @@ CANONICAL = {
     "ar:cycle:012": ArCycleSpec(b"\x00\x01\x02"),
     "ar:morphic:0->01,1->02,2->0:0": ArMorphicSpec(TRIBONACCI, 0),
     "rot:(3-1*sqrt(5))/2:(0)/1": RotationSpec(
-        GOLDEN, QuadraticIrrational.from_rational(0), "left"),
+        GOLDEN, QuadraticIrrational(0, 0, 1, 1), "left"),
     "rot:(-1+1*sqrt(5))/2:(1)/3:right": RotationSpec(
         QuadraticIrrational(-1, 1, 2, 5), QuadraticIrrational(1, 0, 3, 1),
         "right"),
