@@ -28,7 +28,6 @@ from .morphic import FixedPointStream
 from .streams import CycleStream, WordStream
 from .words import as_word
 
-DIRECTIVE_CHECK_HORIZON = 1000
 _HEAD_CAP = 1 << 20         # letters a stream keeps materialized at most
 
 
@@ -74,11 +73,10 @@ def iterated_palindromic_closure(delta) -> bytes:
 class ArnouxRauzyStream(WordStream):
     """Characteristic Arnoux-Rauzy word driven by a directive stream.
 
-    The directive must use every letter infinitely often.  For a periodic
-    directive or a morphic fixed point this is decided exactly, from the
-    pattern or the morphism; for other directives the check is heuristic by
-    necessity: only the first ``DIRECTIVE_CHECK_HORIZON`` directive letters
-    are inspected.
+    The directive must use every letter infinitely often.  It is a periodic
+    CycleStream or a morphic FixedPointStream, the two kinds for which this
+    is decided exactly, from the pattern or the morphism; any other kind of
+    directive is refused.
     """
 
     def __init__(self, directive: WordStream):
@@ -93,9 +91,9 @@ class ArnouxRauzyStream(WordStream):
             recurrent = directive.morphism.recurrent_letters(directive.seed)
             why = "occur only finitely often in the directive fixed point"
         else:
-            recurrent = set(directive.fork().take(DIRECTIVE_CHECK_HORIZON).tolist())
-            why = (f"do not appear in the first {DIRECTIVE_CHECK_HORIZON} "
-                   f"directive letters")
+            raise DirectiveError(
+                "a directive must be a CycleStream or a FixedPointStream, "
+                f"got {type(directive).__name__}")
         missing = [a for a in range(d) if a not in recurrent]
         if missing:
             raise DirectiveError(f"letters {missing} {why}")
@@ -145,9 +143,7 @@ class ArnouxRauzyStream(WordStream):
 
     def _emit(self, i: int, lo: int, hi: int, sink: list) -> None:
         """Append the letters b_i[lo:hi] to sink as arrays."""
-        while True:
-            if hi <= lo:
-                return
+        while True:                     # lo < hi holds at every step
             if self._L[i] <= self._n:
                 sink.append(self._head[lo:hi])
                 return

@@ -277,7 +277,7 @@ class ShuffledPrng:
 
     @property
     def out_range(self) -> int | None:
-        return getattr(self.sources[0], "out_range", None) if self.sources else None
+        return getattr(self.sources[0], "out_range", None)
 
     def outputs(self, n: int) -> np.ndarray:
         if n < 0:
@@ -293,7 +293,7 @@ class ShuffledPrng:
                 np.equal(letters, a, out=hits)
                 count = int(np.count_nonzero(hits))
                 if count:
-                    np.place(part, hits, src.outputs(count))
+                    np.place(part, hits, _outputs(src, count))
                     self.counters[a] += count
         return out
 
@@ -315,21 +315,24 @@ class ShuffledPrng:
         return f"ShuffledPrng({self.steering!r}, {self.sources!r})"
 
 
+def _outputs(source, k: int) -> np.ndarray:
+    """source.outputs(k), which must return exactly k values."""
+    values = source.outputs(k)
+    if len(values) != k:
+        raise ParameterError(f"source returned {len(values)} values, asked for {k}")
+    return values
+
+
 def _value_chunks(source, n: int, size: int):
-    """The first n values of an ndarray, or of anything with .outputs(k),
-    in pieces of at most size values (a source may return fewer)."""
+    """The first n values of an ndarray, or of a source whose .outputs(k)
+    returns exactly k values, in pieces of exactly size values but the last."""
     array = isinstance(source, np.ndarray)
     if array and source.size < n:
         raise ParameterError(
             f"array source holds {source.size} values, need {n}")
-    off = 0
-    while off < n:
+    for off in range(0, n, size):
         k = min(size, n - off)
-        piece = source[off:off + k] if array else source.outputs(k)
-        if piece.size == 0:
-            raise ParameterError(f"source gave no values with {n - off} owed")
-        off += piece.size
-        yield piece
+        yield source[off:off + k] if array else _outputs(source, k)
 
 
 def stream_export(source, n: int, sink) -> int:

@@ -125,17 +125,9 @@ def serial_pairs(source, bins: int, n: int) -> StatsReport:
         raise ParameterError(
             f"bins^2 = {bins * bins} cells exceed the limit of {_MAX_PAIR_CELLS}")
     npairs = n // 2
-    if npairs < 1:
-        raise InsufficientDataError("need at least one pair")
     counts = np.zeros(bins * bins, dtype=np.int64)
-    leftover = None
-    for chunk in _value_chunks(source, 2 * npairs, _CHUNK):
-        if leftover is not None:
-            chunk = np.concatenate(([leftover], chunk))
-            leftover = None
-        if chunk.size % 2:
-            leftover = chunk[-1]
-            chunk = chunk[:-1]
+    # pieces of an even size, so that no pair straddles two of them
+    for chunk in _value_chunks(source, 2 * npairs, _CHUNK & ~1):
         c = _cells(chunk, bins).astype(np.int64)
         pair = c[0::2] * bins + c[1::2]
         counts += np.bincount(pair, minlength=bins * bins)

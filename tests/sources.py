@@ -1,5 +1,7 @@
 """Reference output sources for the statistical tests: a seeded uniform
-stream that a sound test must pass, and a constant one it must reject."""
+stream that a sound test must pass, and a constant one it must reject; and
+two sources that return a count other than the one asked for, which every
+reader must refuse."""
 import numpy as np
 
 
@@ -19,3 +21,18 @@ class ConstantSource:
 
     def outputs(self, n: int) -> np.ndarray:
         return np.full(n, self.value, dtype=np.uint32)
+
+
+class ShortSource:
+    """Returns at most `cap` values, whatever it is asked for."""
+    def __init__(self, cap: int):
+        self.cap = cap
+
+    def outputs(self, n: int) -> np.ndarray:
+        return np.zeros(min(n, self.cap), dtype=np.uint32)
+
+
+class LongSource:
+    """Returns five values more than it is asked for."""
+    def outputs(self, n: int) -> np.ndarray:
+        return np.zeros(n + 5, dtype=np.uint32)

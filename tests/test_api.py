@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pathlib
 import re
@@ -90,3 +91,38 @@ def test_no_module_imports_fractions():
         if re.search(r"^\s*(from fractions import|import fractions)",
                      p.read_text(), re.M))
     assert importers == []
+
+
+def _outputs_callers(package: pathlib.Path) -> set[str]:
+    """Qualified names of the functions that call some .outputs(...)."""
+    found = set()
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "outputs"):
+            found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    for path in package.glob("*.py"):
+        walk(ast.parse(path.read_text()), [path.stem])
+    return found
+
+
+def test_sources_are_read_through_one_exact_helper():
+    # a caller's source is asked for k values and must return exactly k;
+    # one helper checks that, and the stats adapters pass their count through
+    package = pathlib.Path(aprng.__file__).parent
+    assert _outputs_callers(package) == {
+        "prng._outputs", "stats.ScaledSource.outputs",
+        "stats.LowBitsSource.outputs"}
+
+
+def test_no_directive_is_checked_on_a_prefix():
+    # an Arnoux-Rauzy directive is a pattern or a fixed point, whose recurrent
+    # letters are decided exactly; no horizon of inspected letters is left
+    package = pathlib.Path(aprng.__file__).parent
+    assert not [p.name for p in package.glob("*.py")
+                if "DIRECTIVE_CHECK_HORIZON" in p.read_text()]

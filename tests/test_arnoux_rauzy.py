@@ -9,8 +9,9 @@ from aprng import arnoux_rauzy
 from aprng.arnoux_rauzy import (ArnouxRauzyStream, iterated_palindromic_closure,
                                 palindromic_closure)
 from aprng.errors import DirectiveError, ParameterError
-from aprng.morphic import (TRIBONACCI, FixedPointStream, Morphism,
+from aprng.morphic import (TRIBONACCI, FixedPointStream, MergedStream, Morphism,
                            fibonacci_stream, iterate_fixed_point)
+from aprng.rotation import fibonacci_rotation
 from aprng.specs import parse_morphism_rules
 from aprng.streams import CycleStream
 from aprng.words import as_word, parikh
@@ -113,6 +114,21 @@ def test_ar_stream_rejects_starved_directive():
     # a directive that never mentions letter 2 cannot drive a 3-letter word
     with pytest.raises(DirectiveError):
         ArnouxRauzyStream(CycleStream(bytes([0, 1]), alphabet_size=3))
+    # an empty pattern is no directive at all
+    with pytest.raises(ValueError, match="nonempty"):
+        CycleStream(b"")
+
+
+@pytest.mark.parametrize("directive", [
+    fibonacci_rotation,
+    lambda: MergedStream(FixedPointStream(TRIBONACCI, 0), (0, 1, 1)),
+], ids=["rotation", "merged"])
+def test_directive_of_another_kind_is_refused(directive):
+    # only a pattern or a morphism decides which letters recur; for any other
+    # stream a finite prefix could only guess it
+    with pytest.raises(DirectiveError,
+                       match="must be a CycleStream or a FixedPointStream, got"):
+        ArnouxRauzyStream(directive())
 
 
 def test_unbalanced_directive_still_works():
@@ -125,8 +141,8 @@ def test_unbalanced_directive_still_works():
 
 
 def test_periodic_directive_is_checked_exactly():
-    # letter 2 first appears at index 1200, past the horizon a heuristic
-    # check inspects, yet recurs with the period: the directive is valid
+    # letter 2 first appears at index 1200, yet recurs with the period: the
+    # pattern, not a prefix, decides that the directive is valid
     directive = CycleStream(bytes([0, 1] * 600 + [2]))
     s = ArnouxRauzyStream(directive)
     f = s.fork()
@@ -168,8 +184,8 @@ def test_recurrent_directive_missing_a_letter_is_rejected(rules):
 
 
 def test_fixed_point_directive_is_checked_exactly():
-    # letter 1 first appears at index 1002, past the horizon a heuristic
-    # check inspects, yet recurs: the directive is valid
+    # letter 1 first appears at index 1002, yet recurs: the morphism, not a
+    # prefix, decides that the directive is valid
     directive = FixedPointStream(Morphism(["0" * 1002 + "1", "0"]), 0)
     s = ArnouxRauzyStream(directive)
     assert bytes(s.take(2005)) == bytes([0] * 1002 + [1] + [0] * 1002)
@@ -186,7 +202,7 @@ def closure_chain(pattern: bytes, min_len: int) -> list[bytes]:
 
 
 @pytest.mark.parametrize("pattern", ["01", "012", "0112"])
-@pytest.mark.parametrize("cap", [5000, 1 << 22])
+@pytest.mark.parametrize("cap", [1, 2, 5, 16, 64, 5000, 1 << 22])
 def test_far_access_around_the_materialized_head(pattern, cap, monkeypatch):
     from aprng.rotation import fibonacci_rotation, rotation_letter
     pattern = as_word(pattern)
@@ -219,6 +235,8 @@ def test_far_access_around_the_materialized_head(pattern, cap, monkeypatch):
             == (letter, follow, before), pos
     for w in words:
         assert s.prefix_parikh(len(w)) == parikh(w, d)
+    # a bulk read crosses every step of the chain, inside the head or not
+    assert bytes(s.fork().take(1 << 14)) == oracle[:1 << 14]
 
 
 # -- ar:cycle:delta is the fixed point of an episturmian morphism ----------

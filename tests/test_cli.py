@@ -264,6 +264,9 @@ def test_argparse_rejects_bad_values(capsys):
         main(["stats", "randu", "--test", "gap",
               "--interval", "\u0660.25,0.75"])
     assert "interval bounds must be numbers" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["stats", "randu", "--test", "gap", "--interval", "0.1,0.2,0.3"])
+    assert "expected lo,hi" in capsys.readouterr().err
     # a short power is bounded before it is computed
     with pytest.raises(SystemExit):
         main(["word", "fib", "--count", "9^99999999"])

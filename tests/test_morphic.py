@@ -111,6 +111,8 @@ def test_non_prolongable_seed_rejected():
         FixedPointStream(FIBONACCI, 1)
     with pytest.raises((ParameterError, ValueError)):
         FixedPointStream(Morphism(["10", "0"]), 0)
+    with pytest.raises(ValueError, match="not prolongable"):
+        iterate_fixed_point(FIBONACCI, 1, 10)
 
 
 @given(prolongable())
@@ -163,6 +165,8 @@ def test_block_cap_changes_nothing():
     for cap in [2, 3, 64, 4096]:
         s = FixedPointStream(FIBONACCI, 0, block_cap=cap)
         assert bytes(s.take(2000)) == bytes(fibonacci_stream().take(2000))
+    with pytest.raises(ValueError, match="below the largest single image"):
+        FixedPointStream(FIBONACCI, 0, block_cap=1)
 
 
 def test_merge_projects_letters():

@@ -16,6 +16,8 @@ from aprng.morphic import fibonacci_stream
 from aprng.prng import NAMED_LCGS, Lcg, ShuffledPrng, named_lcg, stream_export
 from aprng.specs import parse_gen_spec
 from aprng.stats import chi_square_equidist, gap_test, serial_pairs
+from aprng.streams import CycleStream
+from sources import LongSource, ShortSource
 
 RANDU_FIRST = [65539, 393225, 1769499, 7077969]
 
@@ -360,15 +362,17 @@ def test_one_generator_as_both_sources(monkeypatch, name, chunk):
 
 
 def test_shuffle_warm_up_equals_brute_force():
-    def make():
-        return ShuffledPrng(fibonacci_stream(),
-                            [named_lcg("l64_39", 1), named_lcg("l64_39", 2)])
-    z1, z2 = make(), make()
-    z1.warm_up(10 ** 4)
-    z2.outputs(10 ** 4)
-    assert tuple(z1.counters) == tuple(z2.counters)
-    assert np.array_equal(z1.outputs(200), z2.outputs(200))
-    assert tuple(z1.counters) == fibonacci_stream().prefix_parikh(10 ** 4 + 200)
+    # a periodic steering word counts its letters by whole periods
+    for steering in (fibonacci_stream, lambda: CycleStream(b"\x00\x01\x01\x00\x01")):
+        def make():
+            return ShuffledPrng(steering(),
+                                [named_lcg("l64_39", 1), named_lcg("l64_39", 2)])
+        z1, z2 = make(), make()
+        z1.warm_up(10 ** 4)
+        z2.outputs(10 ** 4)
+        assert tuple(z1.counters) == tuple(z2.counters)
+        assert np.array_equal(z1.outputs(200), z2.outputs(200))
+        assert tuple(z1.counters) == steering().prefix_parikh(10 ** 4 + 200)
 
 
 def test_nested_shuffle_warm_up_equals_brute_force():
@@ -557,7 +561,25 @@ class DrySource:
 
 @pytest.mark.parametrize("first", [0, 3])
 def test_source_running_dry_is_an_error(first):
-    with pytest.raises(ParameterError, match="no values"):
+    with pytest.raises(ParameterError,
+                       match=f"source returned {first} values, asked for 1000"):
         chi_square_equidist(DrySource(first), 4, 1000)
-    with pytest.raises(ParameterError, match="no values"):
+    with pytest.raises(ParameterError,
+                       match=f"source returned {first} values, asked for 10$"):
         stream_export(DrySource(first), 10, io.BytesIO())
+
+
+@pytest.mark.parametrize("read,got,asked", [
+    (lambda: stream_export(LongSource(), 10, io.BytesIO()), 15, 10),
+    (lambda: chi_square_equidist(LongSource(), 2, 1000), 1005, 1000),
+    (lambda: consecutive_tuples(LongSource(), 10, 3), 15, 10),
+    # fib steers 12 of its first 20 letters to source 0
+    (lambda: ShuffledPrng(fibonacci_stream(),
+                          [ShortSource(3), ShortSource(3)]).outputs(20), 3, 12),
+], ids=["export", "chi2", "tuples", "shuffle"])
+def test_source_returning_other_than_asked_is_an_error(read, got, asked):
+    # each read consumes exactly the values it asks for: a longer answer
+    # would be written or counted in part, a shorter one repeated
+    with pytest.raises(ParameterError,
+                       match=f"source returned {got} values, asked for {asked}$"):
+        read()

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from aprng import specs
-from aprng.errors import AlphabetError, ParameterError, SpecParseError
+from aprng.errors import (AlphabetError, DirectiveError, ParameterError,
+                          SpecParseError)
 from aprng.morphic import (FIBONACCI, TRIBONACCI, InterleavedStream, Morphism,
                            fibonacci_stream)
 from aprng.prng import NAMED_LCGS, ShuffledPrng, named_lcg
@@ -16,6 +17,7 @@ from aprng.specs import (FIB2_SPEC, FIB_SPEC, TRIB_SPEC, ArCycleSpec,
                          MorphicSpec, RotationSpec, ShuffleSpec, build_gen,
                          build_word, parse_gen_spec, parse_morphism_rules,
                          parse_number, parse_quadratic, parse_word_spec)
+from aprng.words import parikh
 
 
 def test_aliases():
@@ -352,6 +354,7 @@ def test_same_rules_share_one_expansion():
     ("lcg:m=10,a=3", "missing parameters"),
     ("lcg:m=10,a=3,x=1", "missing parameters"),
     ("lcg:x=1", "unknown lcg parameter"),
+    ("lcg:m", "expected <key>=<number>"),
     ("lcg:m=4,m=8,a=1,c=0", "duplicate"),
     ("lcg:m=ten,a=3,c=0", "expected a number"),
     ("shuffle:fib:(randu", "closing"),
@@ -373,6 +376,8 @@ def test_build_time_rejections():
         build_word("merge:02:fib")                 # map not surjective
     with pytest.raises(ValueError):
         build_word("rot:(1)/2:(0)/1")              # rational slope
+    with pytest.raises(DirectiveError):
+        build_word("ar:cycle:0")                   # one-letter alphabet
     with pytest.raises(ParameterError):
         build_gen("lcg:m=10,a=11,c=0")             # multiplier out of range
     with pytest.raises(AlphabetError):
@@ -390,6 +395,13 @@ def test_build_word_streams():
     fib2 = build_word("fib2")
     direct = InterleavedStream(fibonacci_stream(), 2)
     assert bytes(fib2.take(4000)) == bytes(direct.take(4000))
+    # a projection forks its inner stream, whatever its kind
+    swapped = build_word("merge:10:rot:(3-1*sqrt(5))/2:(3-1*sqrt(5))/2")
+    fib = bytes(fibonacci_stream().take(10 ** 4))
+    assert bytes(swapped.take(10 ** 4)) == bytes(1 - a for a in fib)
+    merged = build_word("merge:011:interleave:2:fib")
+    assert bytes(merged.take(4000)) == bytes((0, 1, 1)[a]
+                                             for a in direct.fork().take(4000))
 
 
 def test_build_gen_and_seed_override():
@@ -444,6 +456,8 @@ def make_skip_word(text):
 def test_prefix_parikh_rejects_negative_lengths(text):
     with pytest.raises(ValueError, match="n must be >= 0"):
         make_skip_word(text).prefix_parikh(-1)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        make_skip_word(text).take(-1)
 
 
 @pytest.fixture(scope="module")
@@ -474,5 +488,6 @@ def test_skip_equals_seek(text, n, skip_prefixes):
     lazy.seek(n)
     lazy.seek(n)
     assert bytes(lazy.take(64)) == ref[n:n + 64]
+    assert lazy.prefix_parikh(n) == parikh(ref[:n], lazy.alphabet_size)
     with pytest.raises(ValueError):
         skipped.seek(-1)

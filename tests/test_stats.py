@@ -9,23 +9,7 @@ from aprng.lattice import consecutive_tuples
 from aprng.prng import Lcg, named_lcg
 from aprng.stats import (LowBitsSource, ScaledSource, chi_square_equidist,
                          gap_test, serial_pairs, _cell_widths, _chi2_p)
-from sources import ConstantSource, RandomSource
-
-
-class Trickle:
-    """Array-backed source that hands out at most `step` values per call,
-    forcing chunk boundaries through the accumulation logic."""
-
-    def __init__(self, arr, step):
-        self.arr = arr
-        self.pos = 0
-        self.step = step
-
-    def outputs(self, k):
-        k = min(k, self.step)
-        out = self.arr[self.pos:self.pos + k]
-        self.pos += len(out)
-        return out
+from sources import ConstantSource, RandomSource, ShortSource
 
 
 def test_cell_widths_partition_the_range():
@@ -112,12 +96,12 @@ def test_serial_matches_direct_computation_and_chunking():
     expected = 5000 * np.outer(widths, widths).ravel()
     stat = float(((counts - expected) ** 2 / expected).sum())
     assert rep.statistic == pytest.approx(stat, rel=1e-12)
-    # odd-sized chunks must pair values across chunk boundaries
-    trick = serial_pairs(Trickle(arr, 997), 4, 10001)
-    assert trick.statistic == pytest.approx(rep.statistic, rel=1e-12)
-    assert trick.details == rep.details
-    assert np.array_equal(consecutive_tuples(Trickle(arr, 997), 10001, 3),
-                          consecutive_tuples(arr, 10001, 3))
+    # a source that returns fewer values than asked is refused, not read
+    # again; test_reports_do_not_depend_on_chunk_size covers odd pieces
+    with pytest.raises(ParameterError, match="returned 997 values, asked for 10000"):
+        serial_pairs(ShortSource(997), 4, 10001)
+    with pytest.raises(ParameterError, match="returned 997 values, asked for 10001"):
+        consecutive_tuples(ShortSource(997), 10001, 3)
 
 
 def test_gap_test_matches_definitional_oracle():
@@ -141,10 +125,8 @@ def test_gap_test_matches_definitional_oracle():
     assert rep.statistic == pytest.approx(stat, rel=1e-12)
     assert rep.df == t
     assert 0.0 <= rep.p_value <= 1.0
-    # chunk boundaries must not split or duplicate gaps
-    trick = gap_test(Trickle(arr, 997), (lo, hi), 20000)
-    assert trick.statistic == pytest.approx(rep.statistic, rel=1e-12)
-    assert trick.details == rep.details
+    with pytest.raises(ParameterError, match="returned 997 values, asked for 20000"):
+        gap_test(ShortSource(997), (lo, hi), 20000)
 
 
 def test_gap_test_calibrates_and_rejects():
@@ -178,6 +160,8 @@ def test_parameter_validation():
         gap_test(RandomSource(0), (0.0, 0.5), 0)
     with pytest.raises(ParameterError):
         gap_test(RandomSource(0), (0.0, 1e-12), 100)       # empty at 32 bits
+    with pytest.raises(ParameterError, match="every 32-bit value"):
+        gap_test(RandomSource(0), (0.0, 1.0), 100)
     arr = np.zeros(10, dtype=np.uint32)
     with pytest.raises(ParameterError):
         chi_square_equidist(arr, 2, 1000)                  # array too small
@@ -225,8 +209,9 @@ def test_low_bits_source_reads_state_bits():
 
 
 def test_low_bits_source_fallback_and_validation():
+    # RandomSource has no raw_states, so its outputs' low bits are read
     arr = RandomSource(4).outputs(1000)
-    src = LowBitsSource(Trickle(arr, 1000), bits=4)
+    src = LowBitsSource(RandomSource(4), bits=4)
     assert np.array_equal(src.outputs(1000), (arr & np.uint32(15)) << np.uint32(28))
     with pytest.raises(ParameterError):
         LowBitsSource(RandomSource(0), bits=0)
